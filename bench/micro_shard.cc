@@ -5,10 +5,11 @@
 // order-insensitive hash as the single-job sync reference — the router
 // only changes WHERE a key's state lives, never what any query emits.
 //
-// On a single-CPU container the pump threads and the control thread
-// time-share one core, so the threaded legs measure router overhead
-// (ring hops, fan-out, merge) rather than parallel speedup; the shapes
-// to watch are hash equality and the resharding pause, not scaling.
+// The banner prints the host's CPU count (as nproc counts them): with
+// fewer CPUs than pump threads plus the control thread, the threaded legs
+// time-share cores and measure router overhead rather than speedup.
+
+#include <sched.h>
 
 #include <chrono>
 #include <cstdio>
@@ -182,6 +183,14 @@ RunStats RunSharded(int shards, int split_at) {
   return stats;
 }
 
+/// CPUs this process may run on — what `nproc` prints.
+int Nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return CPU_COUNT(&set);
+}
+
 bool Run() {
   harness::PrintBanner(
       "micro_shard — sharded scale-out: routing, merge, live resharding",
@@ -191,8 +200,9 @@ bool Run() {
       "mid-run. All legs must produce the same order-insensitive "
       "output hash.",
       "join topology, parallelism 1 per shard, sliding windows "
-      "2000/500 + 600/300, watermark every 1000 tuples; single-CPU "
-      "container — threaded legs measure router overhead, not speedup");
+      "2000/500 + 600/300, watermark every 1000 tuples; host nproc = " +
+          std::to_string(Nproc()) +
+          " (an N-shard leg runs N pump threads plus the control thread)");
 
   struct Leg {
     std::string label;

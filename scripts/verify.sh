@@ -144,13 +144,15 @@ else
     ./build-tsan/tests/astream_tests \
     --gtest_filter='Seeds/ChaosEquivalenceTest.ExactlyOnceUnderCrashAndChurn/0:RunnerPoisonTest.*:SupervisorTest.*'
 
-  echo "== tsan: shard router (ingress rings, pump threads, merged callbacks) =="
-  # Control thread pushes into per-shard SPSC rings while pump threads
-  # drain and deliver through the merge callback; the threaded
-  # equivalence + kill legs cross those with supervised recovery.
+  echo "== tsan: shard router (ingress rings, pump threads, per-shard egress) =="
+  # Control thread pushes into per-shard SPSC rings (and is woken by the
+  # pumps when it quiesces them) while pump threads drain and deliver
+  # through their own egress slots; a callback swap and a split race the
+  # pumps; the threaded equivalence + kill legs cross those with
+  # supervised recovery.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/0'
+    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/0:*SyncBatchedEdges*:ExactlyOnceTest.BatchedEdgesSurviveFailure'
 
   echo "== tsan: compaction worker (fold thread vs owning-task adoption) =="
   # The worker folds runs off-thread and hands them over through the

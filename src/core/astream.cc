@@ -453,6 +453,10 @@ spe::TopologySpec AStreamJob::BuildTopology() {
     inputs_.push_back(input_a_);
     if (input_b_ >= 0) inputs_.push_back(input_b_);
   }
+  selection_stages_.clear();
+  for (const spe::ExternalInputSpec& ext : spec.external_inputs()) {
+    selection_stages_.push_back(ext.target_stage);
+  }
 
   total_instances_ = 0;
   for (const auto& s : spec.stages()) total_instances_ += s.parallelism;
@@ -495,7 +499,7 @@ Status AStreamJob::Start() {
     runner_ = std::move(threaded);
   } else {
     runner_ = std::make_unique<spe::SyncRunner>(std::move(spec), sink,
-                                                snapshot);
+                                                snapshot, options_.batch_size);
   }
   ASTREAM_RETURN_IF_ERROR(runner_->Start());
   if (compactor_ != nullptr) compactor_->Start();  // no-op in sync mode
@@ -513,12 +517,12 @@ void AStreamJob::HandleSink(int stage, int instance,
       if (record.channel < 0) return;  // unrouted (should not happen)
       qos_.RecordOutput(record.channel, record.event_time,
                         clock_->NowMs());
-      ResultCallback cb;
+      std::shared_ptr<const ResultCallback> cb;
       {
         std::lock_guard<std::mutex> lock(callback_mutex_);
         cb = result_callback_;
       }
-      if (cb) cb(record.channel, record);
+      if (cb != nullptr && *cb) (*cb)(record.channel, record);
       break;
     }
     case spe::ElementKind::kMarker: {
@@ -950,8 +954,40 @@ AStreamJob::TaskHealth() const {
 }
 
 void AStreamJob::SetResultCallback(ResultCallback callback) {
+  auto shared = std::make_shared<const ResultCallback>(std::move(callback));
   std::lock_guard<std::mutex> lock(callback_mutex_);
-  result_callback_ = std::move(callback);
+  result_callback_ = std::move(shared);
+}
+
+AStreamJob::OperatorStats& AStreamJob::OperatorStats::operator+=(
+    const OperatorStats& o) {
+  static_assert(sizeof(OperatorStats) == 24 * sizeof(int64_t),
+                "a new OperatorStats field must be summed here too");
+  queryset_nanos += o.queryset_nanos;
+  fanout_nanos += o.fanout_nanos;
+  bitset_ops += o.bitset_ops;
+  join_pairs_computed += o.join_pairs_computed;
+  join_pairs_reused += o.join_pairs_reused;
+  records_late += o.records_late;
+  selection_records_in += o.selection_records_in;
+  selection_records_out += o.selection_records_out;
+  router_records_out += o.router_records_out;
+  router_rows_shared += o.router_rows_shared;
+  router_rows_copied += o.router_rows_copied;
+  state_arena_bytes += o.state_arena_bytes;
+  reload_saves += o.reload_saves;
+  arrange_memo_hits += o.arrange_memo_hits;
+  arrange_memo_misses += o.arrange_memo_misses;
+  arrange_memo_bytes += o.arrange_memo_bytes;
+  factor_rewrites += o.factor_rewrites;
+  factor_reuses += o.factor_reuses;
+  factor_fallbacks += o.factor_fallbacks;
+  mjoin_chains_computed += o.mjoin_chains_computed;
+  mjoin_chains_reused += o.mjoin_chains_reused;
+  subjoins_built += o.subjoins_built;
+  subjoins_attached += o.subjoins_attached;
+  subjoin_nodes += o.subjoin_nodes;
+  return *this;
 }
 
 AStreamJob::OperatorStats AStreamJob::CollectStats() const {
@@ -1011,8 +1047,11 @@ AStreamJob::OperatorStats AStreamJob::CollectStats() const {
     s.factor_fallbacks += fs.fallbacks;
   }
   if (runner_ != nullptr) {
-    s.selection_records_in = runner_->StageRecordsIn(0);
-    s.selection_records_out = runner_->StageRecordsOut(0);
+    // Every input stream feeds its own selection stage.
+    for (int stage : selection_stages_) {
+      s.selection_records_in += runner_->StageRecordsIn(stage);
+      s.selection_records_out += runner_->StageRecordsOut(stage);
+    }
   }
   return s;
 }

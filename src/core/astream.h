@@ -270,6 +270,9 @@ class AStreamJob {
     int64_t subjoins_built = 0;      // multiway plans with no reusable prefix
     int64_t subjoins_attached = 0;   // plans attached to a materialized sub-join
     int64_t subjoin_nodes = 0;       // live refcounted sub-join nodes
+
+    /// Field-wise sum (merging shards' stats).
+    OperatorStats& operator+=(const OperatorStats& other);
   };
   OperatorStats CollectStats() const;
 
@@ -352,6 +355,8 @@ class AStreamJob {
   // input index of stream s; input_a_/input_b_ mirror entries 0/1 for the
   // legacy shims.
   int stage_router_ = -1;
+  /// The selection stage each external input feeds (CollectStats).
+  std::vector<int> selection_stages_;
   int input_a_ = -1;
   int input_b_ = -1;
   std::vector<int> inputs_;
@@ -373,7 +378,8 @@ class AStreamJob {
   int64_t next_checkpoint_epoch_ = 1;
 
   std::mutex callback_mutex_;
-  ResultCallback result_callback_;
+  /// Shared so the per-row lookup copies a pointer, not the function.
+  std::shared_ptr<const ResultCallback> result_callback_;
 
   bool started_ = false;
   bool finished_ = false;

@@ -258,7 +258,6 @@ Status IsolationManager::EjectWhale(QueryId id) {
   opts.enable_metrics = true;
   opts.meter_costs = true;
   opts.checkpoint_store = nullptr;
-  opts.storage.spill_dir.clear();  // empty = a private per-job temp dir
   ASTREAM_ASSIGN_OR_RETURN(dedicated_, AStreamJob::Create(std::move(opts)));
   Status s = dedicated_->Start();
   if (s.ok()) s = dedicated_->RestoreFrom(*snap);

@@ -14,19 +14,41 @@ void LatencyStats::Add(int64_t value) {
   }
   sum_ += value;
   if (count_ % stride_ == 0) {
-    if (samples_.size() >= kMaxSamples) {
-      // Thin the buffer: keep every other sample, double the stride.
-      std::vector<int64_t> thinned;
-      thinned.reserve(samples_.size() / 2);
-      for (size_t i = 0; i < samples_.size(); i += 2) {
-        thinned.push_back(samples_[i]);
-      }
-      samples_ = std::move(thinned);
-      stride_ *= 2;
-    }
+    if (samples_.size() >= kMaxSamples) Thin();
     samples_.push_back(value);
   }
   ++count_;
+}
+
+void LatencyStats::Thin() {
+  std::vector<int64_t> thinned;
+  thinned.reserve(samples_.size() / 2 + 1);
+  for (size_t i = 0; i < samples_.size(); i += 2) {
+    thinned.push_back(samples_[i]);
+  }
+  samples_ = std::move(thinned);
+  stride_ *= 2;
+}
+
+void LatencyStats::Merge(const LatencyStats& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  sum_ += other.sum_;
+  count_ += other.count_;
+  // Strides are powers of two: thinning the finer side to the coarser
+  // stride keeps one sample per `stride_` observations on both sides, so
+  // neither input is over-represented in the percentiles.
+  LatencyStats coarse = other;
+  while (stride_ < coarse.stride_) Thin();
+  while (coarse.stride_ < stride_) coarse.Thin();
+  samples_.insert(samples_.end(), coarse.samples_.begin(),
+                  coarse.samples_.end());
+  while (samples_.size() > kMaxSamples) Thin();
 }
 
 int64_t LatencyStats::Percentile(double p) const {

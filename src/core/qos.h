@@ -15,6 +15,10 @@ namespace astream::core {
 class LatencyStats {
  public:
   void Add(int64_t value);
+  /// Folds `other` in: count, sum, min and max stay exact; both sample
+  /// buffers are first thinned to the coarser stride, then concatenated
+  /// and thinned again past the cap, exactly as Add thins.
+  void Merge(const LatencyStats& other);
 
   int64_t count() const { return count_; }
   int64_t min() const { return count_ == 0 ? 0 : min_; }
@@ -27,6 +31,9 @@ class LatencyStats {
 
  private:
   static constexpr size_t kMaxSamples = 65536;
+
+  /// Keeps every other sample and doubles the stride.
+  void Thin();
 
   int64_t count_ = 0;
   int64_t sum_ = 0;

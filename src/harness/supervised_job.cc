@@ -231,8 +231,10 @@ Status SupervisedJob::Stop() {
 
 void SupervisedJob::SetResultCallback(
     core::AStreamJob::ResultCallback callback) {
+  auto shared = std::make_shared<const core::AStreamJob::ResultCallback>(
+      std::move(callback));
   std::lock_guard<std::mutex> lock(cb_mu_);
-  user_callback_ = std::move(callback);
+  user_callback_ = std::move(shared);
 }
 
 int64_t SupervisedJob::replayed_rows() const {
@@ -257,12 +259,12 @@ Status SupervisedJob::StandUpJobLocked() {
   // contend with control ops that join them).
   job_->SetResultCallback([this](core::QueryId id, const spe::Record& r) {
     if (!dedup_.Admit(id, r)) return;
-    core::AStreamJob::ResultCallback cb;
+    std::shared_ptr<const core::AStreamJob::ResultCallback> cb;
     {
       std::lock_guard<std::mutex> lock(cb_mu_);
       cb = user_callback_;
     }
-    if (cb) cb(id, r);
+    if (cb != nullptr && *cb) (*cb)(id, r);
   });
   return job_->Start();
 }

@@ -151,8 +151,9 @@ class SupervisedJob {
 
   // Separate from mu_: the dedup wrapper runs on sink threads and must
   // never contend with a control-thread op that joins those threads.
+  // Shared so the per-row lookup copies a pointer, not the function.
   std::mutex cb_mu_;
-  core::AStreamJob::ResultCallback user_callback_;
+  std::shared_ptr<const core::AStreamJob::ResultCallback> user_callback_;
 };
 
 }  // namespace astream::harness

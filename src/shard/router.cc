@@ -23,9 +23,9 @@ ShardRouter::ShardRouter(JobConfig config)
       clock_(config_.job.clock != nullptr ? config_.job.clock
                                           : WallClock::Default()),
       admission_(config_.job.slo),
-      router_metrics_(config_.job.enable_metrics) {
-  plan_.store(std::make_shared<const ShardPlan>(
-      ShardPlan::Uniform(config_.shards, config_.slots)));
+      router_metrics_(config_.job.enable_metrics),
+      plan_(std::make_shared<const ShardPlan>(
+          ShardPlan::Uniform(config_.shards, config_.slots))) {
   generations_.assign(static_cast<size_t>(config_.shards), 0);
 }
 
@@ -39,6 +39,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(JobConfig config) {
 Status ShardRouter::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   for (int i = 0; i < config_.shards; ++i) {
+    AddEgressSlot(i);
     auto runtime = MakeRuntime(i, 0, nullptr);
     ASTREAM_RETURN_IF_ERROR(runtime->Start());
     InstallCallback(runtime.get(), i);
@@ -65,37 +66,53 @@ std::unique_ptr<ShardRuntime> ShardRouter::MakeRuntime(
 }
 
 void ShardRouter::InstallCallback(ShardRuntime* runtime, int index) {
+  // The job swaps its callback under its own mutex, so re-installing is
+  // how SetResultCallback reaches a running shard.
   runtime->SetResultCallback(
-      [this, index](core::QueryId id, const spe::Record& r) {
-        Deliver(index, id, r);
+      [this, slot = egress_[static_cast<size_t>(index)].get(),
+       callback = user_callback_](core::QueryId id, const spe::Record& r) {
+        Deliver(slot, callback, id, r);
       });
 }
 
-void ShardRouter::Deliver(int shard_index, core::QueryId id,
-                          const spe::Record& r) {
-  // Ownership filter: every emitted row is keyed by column 0 (selections
-  // pass the input row, joins emit the A side first, aggregations emit
-  // Row{key, value}), so the key's current slot owner is the one shard
-  // allowed to deliver it. After a split, both halves hold the full
-  // pre-split state and both re-emit surviving windows — the filter keeps
-  // exactly the owner's copy, which is what makes the merged output
-  // byte-identical to an unsharded run.
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  if (plan->OwnerOfKey(r.row.key()) != shard_index) return;
-  qos_.RecordOutput(id, r.event_time, clock_->NowMs());
-  core::AStreamJob::ResultCallback cb;
-  {
-    std::lock_guard<std::mutex> lock(cb_mu_);
-    cb = user_callback_;
+void ShardRouter::AddEgressSlot(int index) {
+  auto slot = std::make_unique<EgressSlot>(index);
+  slot->plan = plan_;
+  egress_.push_back(std::move(slot));
+}
+
+void ShardRouter::PublishPlan(ShardPlan next) {
+  plan_ = std::make_shared<const ShardPlan>(std::move(next));
+  for (auto& slot : egress_) {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    slot->plan = plan_;
   }
-  if (cb) cb(id, r);
+}
+
+void ShardRouter::Deliver(EgressSlot* slot,
+                          const core::AStreamJob::ResultCallback& callback,
+                          core::QueryId id, const spe::Record& r) {
+  {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    // Ownership filter: every emitted row is keyed by column 0 (selections
+    // pass the input row, joins emit the A side first, aggregations emit
+    // Row{key, value}), so the key's current slot owner is the one shard
+    // allowed to deliver it. After a split, both halves hold the full
+    // pre-split state and both re-emit surviving windows — the filter
+    // keeps exactly the owner's copy, which is what makes the merged
+    // output byte-identical to an unsharded run.
+    if (slot->plan->OwnerOfKey(r.row.key()) != slot->index) return;
+    slot->tally.event_time_latency.Add(clock_->NowMs() - r.event_time);
+    ++slot->tally.total_outputs;
+    ++slot->tally.outputs_per_query[id];
+  }
+  if (callback) callback(id, r);
 }
 
 core::PushResult ShardRouter::Push(StreamId stream, TimestampMs event_time,
                                    spe::Row row) {
   if (!started_) return core::PushResult::kShutdown;
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  const int owner = plan->OwnerOfKey(row.key());
+  const int owner = plan_->OwnerOfKey(row.key());
   return shards_[static_cast<size_t>(owner)]->Push(stream, event_time,
                                                    std::move(row));
 }
@@ -113,8 +130,7 @@ Result<core::QueryId> ShardRouter::Submit(
     ASTREAM_RETURN_IF_ERROR(poisoned_);
   }
   if (admission_.enabled()) {
-    const int64_t p99 =
-        qos_.TakeSnapshot().event_time_latency.Percentile(99);
+    const int64_t p99 = EgressLatency().Percentile(99);
     const core::AdmissionController::Decision d = admission_.Decide(
         desc, /*num_queued=*/0, static_cast<double>(p99));
     if (d.action != core::AdmissionDecision::kAdmitted) {
@@ -239,9 +255,7 @@ Status ShardRouter::MoveShard(int shard) {
   InstallCallback(runtime.get(), shard);
   shards_[static_cast<size_t>(shard)] = std::move(runtime);
   // Ownership is unchanged; the version bump records the migration.
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  plan_.store(
-      std::make_shared<const ShardPlan>(plan->Moved(shard, shard)));
+  PublishPlan(plan_->Moved(shard, shard));
   last_reshard_pause_ms_.store(SteadyNowMs() - t0,
                                std::memory_order_relaxed);
   return Status::OK();
@@ -252,12 +266,9 @@ Status ShardRouter::SplitShard(int shard) {
   if (shard < 0 || shard >= num_shards()) {
     return Status::InvalidArgument("no such shard");
   }
-  {
-    const std::shared_ptr<const ShardPlan> plan = plan_.load();
-    if (plan->SlotsOwnedBy(shard).size() < 2) {
-      return Status::FailedPrecondition(
-          "shard owns fewer than 2 slots; nothing to split");
-    }
+  if (plan_->SlotsOwnedBy(shard).size() < 2) {
+    return Status::FailedPrecondition(
+        "shard owns fewer than 2 slots; nothing to split");
   }
   const int64_t t0 = SteadyNowMs();
   const int new_shard = num_shards();
@@ -267,15 +278,14 @@ Status ShardRouter::SplitShard(int shard) {
                             " failed");
   }
   // Both halves restore the FULL pre-split state; the new plan (published
-  // before either can emit) makes the egress filter partition their
-  // emissions exactly.
+  // to every egress slot before either can emit) makes the egress filter
+  // partition their emissions exactly.
   auto left =
       MakeRuntime(shard, ++generations_[static_cast<size_t>(shard)], cp);
   generations_.push_back(0);
   auto right = MakeRuntime(new_shard, 0, cp);
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  plan_.store(
-      std::make_shared<const ShardPlan>(plan->Split(shard, new_shard)));
+  AddEgressSlot(new_shard);
+  PublishPlan(plan_->Split(shard, new_shard));
   ASTREAM_RETURN_IF_ERROR(left->Start());
   ASTREAM_RETURN_IF_ERROR(right->Start());
   InstallCallback(left.get(), shard);
@@ -342,8 +352,10 @@ Status ShardRouter::Health() const {
 
 void ShardRouter::SetResultCallback(
     core::AStreamJob::ResultCallback callback) {
-  std::lock_guard<std::mutex> lock(cb_mu_);
   user_callback_ = std::move(callback);
+  for (int i = 0; i < num_shards(); ++i) {
+    InstallCallback(shards_[static_cast<size_t>(i)].get(), i);
+  }
 }
 
 obs::MetricsRegistry::Snapshot ShardRouter::MetricsSnapshot() {
@@ -359,11 +371,19 @@ obs::MetricsRegistry::Snapshot ShardRouter::MetricsSnapshot() {
 }
 
 core::QosMonitor::Snapshot ShardRouter::QosSnapshot() {
-  // Outputs come from the router's own monitor (recorded post-filter);
-  // deployment latency comes from shard 0 — every shard acks the same
-  // changelog timeline, so shard 0 speaks for the deployment and summing
-  // would count each deployment N times.
-  core::QosMonitor::Snapshot merged = qos_.TakeSnapshot();
+  // Outputs come from the egress slots (recorded post-filter); deployment
+  // latency comes from shard 0 — every shard acks the same changelog
+  // timeline, so shard 0 speaks for the deployment and summing would
+  // count each deployment N times.
+  core::QosMonitor::Snapshot merged;
+  for (auto& slot : egress_) {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    merged.total_outputs += slot->tally.total_outputs;
+    for (const auto& [id, n] : slot->tally.outputs_per_query) {
+      merged.outputs_per_query[id] += n;
+    }
+  }
+  merged.event_time_latency = EgressLatency();
   if (!shards_.empty()) {
     core::QosMonitor::Snapshot s0 = shards_[0]->QosSnapshot();
     merged.deployment_latency = s0.deployment_latency;
@@ -372,23 +392,18 @@ core::QosMonitor::Snapshot ShardRouter::QosSnapshot() {
   return merged;
 }
 
+core::LatencyStats ShardRouter::EgressLatency() {
+  core::LatencyStats merged;
+  for (auto& slot : egress_) {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    merged.Merge(slot->tally.event_time_latency);
+  }
+  return merged;
+}
+
 core::AStreamJob::OperatorStats ShardRouter::CollectStats() const {
   core::AStreamJob::OperatorStats total;
-  for (const auto& shard : shards_) {
-    const core::AStreamJob::OperatorStats s = shard->CollectStats();
-    total.queryset_nanos += s.queryset_nanos;
-    total.fanout_nanos += s.fanout_nanos;
-    total.bitset_ops += s.bitset_ops;
-    total.join_pairs_computed += s.join_pairs_computed;
-    total.join_pairs_reused += s.join_pairs_reused;
-    total.records_late += s.records_late;
-    total.selection_records_in += s.selection_records_in;
-    total.selection_records_out += s.selection_records_out;
-    total.router_records_out += s.router_records_out;
-    total.router_rows_shared += s.router_rows_shared;
-    total.router_rows_copied += s.router_rows_copied;
-    total.state_arena_bytes += s.state_arena_bytes;
-  }
+  for (const auto& shard : shards_) total += shard->CollectStats();
   return total;
 }
 

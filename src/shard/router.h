@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/qos.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_runtime.h"
 
@@ -20,6 +21,11 @@ namespace astream::shard {
 /// freshly split shard pair, both restored from the full pre-split state,
 /// emits every result exactly once). Metrics/QoS/operator stats merge
 /// into one deployment-wide view.
+///
+/// Egress is share-nothing: each shard delivers through its own
+/// cache-line-aligned EgressSlot (ownership plan, post-filter QoS tally)
+/// and its own copy of the user callback, so no lock, refcount or cache
+/// line on the per-row path is shared between shards.
 ///
 /// Live resharding: MoveShard drains a shard to a (durably persistable)
 /// checkpoint and rebuilds it; SplitShard drains one shard and restores
@@ -94,19 +100,44 @@ class ShardRouter {
   core::AStreamJob::OperatorStats CollectStats() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  std::shared_ptr<const ShardPlan> plan() const { return plan_.load(); }
+  std::shared_ptr<const ShardPlan> plan() const { return plan_; }
   /// Test access to one shard runtime.
   ShardRuntime* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
 
  private:
   explicit ShardRouter(JobConfig config);
 
+  /// One shard's egress state. The shard's sink thread(s) take `mu` per
+  /// delivered row; the control thread takes it only to publish a plan or
+  /// read the tally, so the lock is never shared between shards.
+  /// Cache-line aligned: neighbouring slots never false-share.
+  struct alignas(64) EgressSlot {
+    explicit EgressSlot(int index) : index(index) {}
+    const int index;
+    std::mutex mu;
+    /// Ownership table the egress filter reads (guarded by mu).
+    std::shared_ptr<const ShardPlan> plan;
+    /// Post-filter QoS of the rows this shard delivered (guarded by mu):
+    /// total, per-query counts and event-time latency.
+    core::QosMonitor::Snapshot tally;
+  };
+
   std::unique_ptr<ShardRuntime> MakeRuntime(
       int index, int generation,
       std::shared_ptr<const spe::CheckpointStore::Checkpoint> restore_from);
-  /// Installs the merged, ownership-filtered result callback on a shard.
+  /// Installs the ownership-filtered result callback on a shard: it
+  /// captures the shard's egress slot and a copy of the user callback.
   void InstallCallback(ShardRuntime* runtime, int index);
-  void Deliver(int shard_index, core::QueryId id, const spe::Record& r);
+  /// Appends the egress slot for shard `index` (control thread only; the
+  /// vector holds pointers, so growing it moves no slot a sink reads).
+  void AddEgressSlot(int index);
+  /// Replaces the plan and hands it to every egress slot.
+  void PublishPlan(ShardPlan next);
+  void Deliver(EgressSlot* slot,
+               const core::AStreamJob::ResultCallback& callback,
+               core::QueryId id, const spe::Record& r);
+  /// Post-filter event-time latency merged over the egress slots.
+  core::LatencyStats EgressLatency();
   /// Drains every shard's ingress ring before a control fan-out so all
   /// shards stamp the operation at one consistent wall time.
   void QuiesceAll();
@@ -121,14 +152,15 @@ class ShardRouter {
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
   /// Bumped per index on every rebuild (durable dir uniqueness).
   std::vector<int> generations_;
-  /// Snapshot-swapped ownership table; sink threads load it wait-free.
-  std::atomic<std::shared_ptr<const ShardPlan>> plan_;
-
-  /// Router-level QoS: outputs recorded post-filter (per-shard monitors
-  /// would double-count results suppressed by the ownership filter).
-  core::QosMonitor qos_;
-
-  std::mutex cb_mu_;
+  /// Current ownership table. Only the control thread reads or replaces
+  /// this pointer (Push, plan(), resharding); sinks read the copy in their
+  /// egress slot.
+  std::shared_ptr<const ShardPlan> plan_;
+  /// egress_[i] belongs to shard i. Router-level QoS is recorded here,
+  /// post-filter: per-shard job monitors would double-count results the
+  /// ownership filter suppresses.
+  std::vector<std::unique_ptr<EgressSlot>> egress_;
+  /// The control thread's copy; every shard holds its own.
   core::AStreamJob::ResultCallback user_callback_;
 
   mutable std::mutex poison_mu_;

@@ -23,8 +23,9 @@ inline uint64_t SplitMix64(uint64_t x) {
 /// Immutable hash-slot ownership table: a key hashes to one of
 /// `num_slots()` slots (stable for the lifetime of the deployment), each
 /// slot is owned by exactly one shard. Live resharding publishes a new
-/// plan (bumped version) that reassigns some slots; readers hold a
-/// shared_ptr snapshot, so routing and egress filtering are wait-free.
+/// plan (bumped version) that reassigns some slots; the router's control
+/// thread routes with its own pointer and hands each egress slot a copy
+/// under that slot's mutex (see ShardRouter).
 struct ShardPlan {
   /// Monotonic plan version; bumped by every reshard.
   int64_t version = 1;

@@ -227,7 +227,14 @@ void ShardRuntime::PumpLoop() {
       // plain shard reports kShutdown, surfaced via Health().
       (void)ApplyPush(item.stream, item.time, std::move(item.row));
     }
-    applied_.fetch_add(1, std::memory_order_release);
+    // Sequentially consistent pair with Quiesce's store-then-load: either
+    // the quiescer sees this increment, or this load sees its target.
+    const int64_t applied = applied_.fetch_add(1) + 1;
+    if (applied >= quiesce_target_.load()) {
+      // Taking the mutex orders the notify after the quiescer's wait.
+      { std::lock_guard<std::mutex> lock(quiesce_mu_); }
+      quiesce_cv_.notify_one();
+    }
   }
 }
 
@@ -235,12 +242,15 @@ void ShardRuntime::Quiesce() {
   if (ring_ == nullptr) return;
   // Single producer (the control thread — us): enqueued_ is stable here.
   const int64_t target = enqueued_.load(std::memory_order_relaxed);
+  if (applied_.load() >= target) return;
   std::unique_lock<std::mutex> lock(quiesce_mu_);
-  while (applied_.load(std::memory_order_acquire) < target) {
-    // Bounded wait (repo idiom): no wakeup protocol to get wrong, worst
-    // case one millisecond of extra latency per control-plane call.
+  quiesce_target_.store(target);
+  while (applied_.load() < target) {
+    // The pump notifies once it applies the target item; the bounded wait
+    // is only a fallback.
     quiesce_cv_.wait_for(lock, std::chrono::milliseconds(1));
   }
+  quiesce_target_.store(kNoQuiescer);
 }
 
 core::PushResult ShardRuntime::ApplyPush(int stream, TimestampMs t,

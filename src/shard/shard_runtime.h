@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -128,8 +130,13 @@ class ShardRuntime {
 
   std::unique_ptr<SpscQueue<Ingress>> ring_;
   std::thread pump_;
+  static constexpr int64_t kNoQuiescer = std::numeric_limits<int64_t>::max();
+
   std::atomic<int64_t> enqueued_{0};
   std::atomic<int64_t> applied_{0};
+  /// applied_ value a waiting Quiesce needs; kNoQuiescer when none waits,
+  /// so the pump pays one load per item.
+  std::atomic<int64_t> quiesce_target_{kNoQuiescer};
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 

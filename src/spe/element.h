@@ -125,17 +125,26 @@ class ElementBatch {
 
   ElementBatch() = default;
 
+  // Moves touch only the live inline elements: a one-record batch moves
+  // one element, not kInlineCapacity.
   ElementBatch(ElementBatch&& other) noexcept
-      : inline_(std::move(other.inline_)),
-        inline_size_(other.inline_size_),
+      : inline_size_(other.inline_size_),
         overflow_(std::move(other.overflow_)) {
+    for (size_t i = 0; i < inline_size_; ++i) {
+      inline_[i] = std::move(other.inline_[i]);
+    }
     other.inline_size_ = 0;
     other.overflow_.clear();
   }
 
   ElementBatch& operator=(ElementBatch&& other) noexcept {
     if (this != &other) {
-      inline_ = std::move(other.inline_);
+      for (size_t i = 0; i < other.inline_size_; ++i) {
+        inline_[i] = std::move(other.inline_[i]);
+      }
+      for (size_t i = other.inline_size_; i < inline_size_; ++i) {
+        inline_[i] = StreamElement{};
+      }
       inline_size_ = other.inline_size_;
       overflow_ = std::move(other.overflow_);
       other.inline_size_ = 0;

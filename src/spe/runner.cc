@@ -65,12 +65,7 @@ InstanceRuntime::SenderState& InstanceRuntime::GetSender(int port,
   return it->second;
 }
 
-void InstanceRuntime::Deliver(Envelope env) {
-  DeliverBatch(BatchEnvelope::Single(env.port, env.sender,
-                                     std::move(env.element)));
-}
-
-void InstanceRuntime::DeliverBatch(BatchEnvelope batch) {
+void InstanceRuntime::DeliverBatch(BatchEnvelope&& batch) {
   SenderState& st = GetSender(batch.port, batch.sender);
   if (st.blocked) {
     st.pending.push_back(std::move(batch));
@@ -319,16 +314,62 @@ OperatorContext MakeContext(const TopologySpec& spec, int stage,
   return ctx;
 }
 
+/// Empty output buffers for one instance of a stage with downstream edges
+/// `edges`, indexed [edge][target instance].
+std::vector<std::vector<ElementBatch>> MakeOutputBuffers(
+    const TopologySpec& spec,
+    const std::vector<internal::DownstreamEdge>& edges) {
+  std::vector<std::vector<ElementBatch>> out(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) {
+    out[e].resize(spec.stages()[edges[e].target_stage].parallelism);
+  }
+  return out;
+}
+
+/// Appends an emitted record to the output buffers of every edge it
+/// travels (hash edges: the key's instance; other edges: every instance)
+/// and calls `ship(edge, target)` for each buffer that reaches
+/// `batch_size`. Both runners cut output batches through this one rule.
+template <typename Ship>
+void BufferRecord(const TopologySpec& spec,
+                  const std::vector<internal::DownstreamEdge>& edges,
+                  std::vector<std::vector<ElementBatch>>& out,
+                  size_t batch_size, StreamElement&& el, Ship&& ship) {
+  const size_t num_edges = edges.size();
+  for (size_t e = 0; e < num_edges; ++e) {
+    const internal::DownstreamEdge& edge = edges[e];
+    const int par = spec.stages()[edge.target_stage].parallelism;
+    if (edge.partitioning == Partitioning::kHash) {
+      const int i = internal::InstanceForKey(el.record.row.key(), par);
+      ElementBatch& buf = out[e][i];
+      if (e + 1 == num_edges) {
+        buf.Add(std::move(el));
+      } else {
+        buf.Add(el);
+      }
+      if (buf.size() >= batch_size) ship(e, i);
+    } else {
+      for (int i = 0; i < par; ++i) {
+        ElementBatch& buf = out[e][i];
+        buf.Add(el);
+        if (buf.size() >= batch_size) ship(e, i);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // SyncRunner
 // ---------------------------------------------------------------------------
 
-SyncRunner::SyncRunner(TopologySpec spec, SinkFn sink, SnapshotFn snapshot)
+SyncRunner::SyncRunner(TopologySpec spec, SinkFn sink, SnapshotFn snapshot,
+                       size_t batch_size)
     : spec_(std::move(spec)),
       sink_(std::move(sink)),
-      snapshot_(std::move(snapshot)) {}
+      snapshot_(std::move(snapshot)),
+      batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
 SyncRunner::~SyncRunner() = default;
 
@@ -349,42 +390,73 @@ Status SyncRunner::Start() {
       const int instance_index = i;
       rt->emit_record = [this, stage_index,
                          instance_index](StreamElement&& el) {
-        RouteFromInstance(stage_index, instance_index, el,
-                          /*control=*/false);
+        RouteRecord(stage_index, instance_index, std::move(el));
       };
       rt->forward_control = [this, stage_index,
                              instance_index](const StreamElement& el) {
-        RouteFromInstance(stage_index, instance_index, el,
-                          /*control=*/true);
+        RouteControl(stage_index, instance_index, el);
       };
       if (snapshot_) rt->snapshot = snapshot_;
       ASTREAM_RETURN_IF_ERROR(
           rt->Open(MakeContext(spec_, stage_index, instance_index)));
-      instances_[s].push_back(std::move(rt));
+      instances_[s].push_back(
+          Instance{std::move(rt), MakeOutputBuffers(spec_, downstream_[s])});
     }
   }
   started_ = true;
   return Status::OK();
 }
 
-void SyncRunner::RouteFromInstance(int stage, int instance,
-                                   const StreamElement& el, bool control) {
+void SyncRunner::DeliverTo(int stage, int instance, BatchEnvelope&& batch) {
+  instances_[stage][instance].runtime->DeliverBatch(std::move(batch));
+  // End-of-delivery flush: a partial buffer never waits for more input.
+  FlushOutputs(stage, instance);
+}
+
+void SyncRunner::RouteRecord(int stage, int instance, StreamElement&& el) {
   if (spec_.stages()[stage].is_sink && sink_) {
     sink_(stage, instance, el);
   }
+  BufferRecord(spec_, downstream_[stage], instances_[stage][instance].out,
+               batch_size_, std::move(el), [&](size_t e, int target) {
+                 FlushBuffer(stage, instance, e, target);
+               });
+}
+
+void SyncRunner::RouteControl(int stage, int instance,
+                              const StreamElement& el) {
+  if (spec_.stages()[stage].is_sink && sink_) {
+    sink_(stage, instance, el);
+  }
+  // Control elements are batch boundaries: records emitted before them
+  // reach every target first.
+  FlushOutputs(stage, instance);
   const int sender = gid_base_[stage] + instance;
   for (const internal::DownstreamEdge& edge : downstream_[stage]) {
-    auto& targets = instances_[edge.target_stage];
-    if (!control && el.kind == ElementKind::kRecord &&
-        edge.partitioning == Partitioning::kHash) {
-      const int i = internal::InstanceForKey(
-          el.record.row.key(), static_cast<int>(targets.size()));
-      targets[i]->Deliver(Envelope{edge.port, sender, el});
-    } else {
-      for (auto& target : targets) {
-        target->Deliver(Envelope{edge.port, sender, el});
-      }
+    const int par = static_cast<int>(instances_[edge.target_stage].size());
+    for (int i = 0; i < par; ++i) {
+      DeliverTo(edge.target_stage, i,
+                BatchEnvelope::Single(edge.port, sender, el));
     }
+  }
+}
+
+void SyncRunner::FlushBuffer(int stage, int instance, size_t edge_idx,
+                             int target) {
+  ElementBatch& buf = instances_[stage][instance].out[edge_idx][target];
+  if (buf.empty()) return;
+  const internal::DownstreamEdge& edge = downstream_[stage][edge_idx];
+  DeliverTo(edge.target_stage, target,
+            BatchEnvelope{edge.port, gid_base_[stage] + instance,
+                          std::move(buf)});
+}
+
+void SyncRunner::FlushOutputs(int stage, int instance) {
+  const size_t num_edges = downstream_[stage].size();
+  for (size_t e = 0; e < num_edges; ++e) {
+    const int par = static_cast<int>(
+        instances_[downstream_[stage][e].target_stage].size());
+    for (int i = 0; i < par; ++i) FlushBuffer(stage, instance, e, i);
   }
 }
 
@@ -397,8 +469,7 @@ bool SyncRunner::Push(int input_index, StreamElement element) {
 bool SyncRunner::PushBatch(int input_index, ElementBatch batch) {
   if (cancelled_) return false;
   const ExternalInputSpec& ext = spec_.external_inputs()[input_index];
-  auto& targets = instances_[ext.target_stage];
-  const int par = static_cast<int>(targets.size());
+  const int par = static_cast<int>(instances_[ext.target_stage].size());
   const int sender = ExternalSenderGid(input_index);
   std::vector<ElementBatch> sub(par);
   auto flush = [&] {
@@ -408,7 +479,7 @@ bool SyncRunner::PushBatch(int input_index, ElementBatch batch) {
       be.port = ext.port;
       be.sender = sender;
       be.elements = std::move(sub[i]);
-      targets[i]->DeliverBatch(std::move(be));
+      DeliverTo(ext.target_stage, i, std::move(be));
     }
   };
   for (StreamElement& el : batch) {
@@ -423,8 +494,9 @@ bool SyncRunner::PushBatch(int input_index, ElementBatch batch) {
       // Control element: batch boundary. Drain buffered records first so
       // per-edge order is preserved, then broadcast it.
       flush();
-      for (auto& target : targets) {
-        target->DeliverBatch(BatchEnvelope::Single(ext.port, sender, el));
+      for (int i = 0; i < par; ++i) {
+        DeliverTo(ext.target_stage, i,
+                  BatchEnvelope::Single(ext.port, sender, el));
       }
     }
   }
@@ -434,17 +506,18 @@ bool SyncRunner::PushBatch(int input_index, ElementBatch batch) {
 
 void SyncRunner::RouteExternal(int input_index, StreamElement element) {
   const ExternalInputSpec& ext = spec_.external_inputs()[input_index];
-  auto& targets = instances_[ext.target_stage];
+  const int par = static_cast<int>(instances_[ext.target_stage].size());
   const int sender = ExternalSenderGid(input_index);
   if (element.kind == ElementKind::kRecord &&
       ext.partitioning == Partitioning::kHash) {
-    const int i = internal::InstanceForKey(
-        element.record.row.key(), static_cast<int>(targets.size()));
-    targets[i]->Deliver(Envelope{ext.port, sender, std::move(element)});
+    const int i = internal::InstanceForKey(element.record.row.key(), par);
+    DeliverTo(ext.target_stage, i,
+              BatchEnvelope::Single(ext.port, sender, std::move(element)));
     return;
   }
-  for (auto& target : targets) {
-    target->Deliver(Envelope{ext.port, sender, element});
+  for (int i = 0; i < par; ++i) {
+    DeliverTo(ext.target_stage, i,
+              BatchEnvelope::Single(ext.port, sender, element));
   }
 }
 
@@ -476,7 +549,8 @@ Status SyncRunner::Restore(const CheckpointStore::Checkpoint& checkpoint) {
                                 std::to_string(s) + "/" + std::to_string(i));
       }
       StateReader reader(it->second);
-      ASTREAM_RETURN_IF_ERROR(instances_[s][i]->op()->RestoreState(&reader));
+      ASTREAM_RETURN_IF_ERROR(
+          instances_[s][i].runtime->op()->RestoreState(&reader));
       if (!reader.Ok()) {
         return Status::Internal("corrupt checkpoint state for stage " +
                                 std::to_string(s));
@@ -488,7 +562,7 @@ Status SyncRunner::Restore(const CheckpointStore::Checkpoint& checkpoint) {
 
 int64_t SyncRunner::StageRecordsIn(int stage) const {
   int64_t n = 0;
-  for (const auto& i : instances_[stage]) n += i->records_in();
+  for (const Instance& i : instances_[stage]) n += i.runtime->records_in();
   return n;
 }
 
@@ -504,7 +578,7 @@ const std::string& SyncRunner::StageName(int stage) const {
 
 int64_t SyncRunner::StageRecordsOut(int stage) const {
   int64_t n = 0;
-  for (const auto& i : instances_[stage]) n += i->records_out();
+  for (const Instance& i : instances_[stage]) n += i.runtime->records_out();
   return n;
 }
 
@@ -547,12 +621,7 @@ Status ThreadedRunner::Start() {
       task->inbox->EnsureExternal();
       RegisterSenders(task->runtime.get(), spec_, gid_base_,
                       static_cast<int>(s));
-      task->out.resize(downstream_[s].size());
-      for (size_t e = 0; e < downstream_[s].size(); ++e) {
-        const int target_par =
-            stages[downstream_[s][e].target_stage].parallelism;
-        task->out[e].resize(target_par);
-      }
+      task->out = MakeOutputBuffers(spec_, downstream_[s]);
       const int stage_index = static_cast<int>(s);
       const int instance_index = i;
       task->runtime->emit_record = [this, stage_index,
@@ -746,27 +815,10 @@ void ThreadedRunner::RouteRecord(int stage, int instance,
     sink_(stage, instance, el);
   }
   Task* task = tasks_[stage][instance].get();
-  const size_t num_edges = downstream_[stage].size();
-  for (size_t e = 0; e < num_edges; ++e) {
-    const internal::DownstreamEdge& edge = downstream_[stage][e];
-    const int par = spec_.stages()[edge.target_stage].parallelism;
-    if (edge.partitioning == Partitioning::kHash) {
-      const int i = internal::InstanceForKey(el.record.row.key(), par);
-      ElementBatch& buf = task->out[e][i];
-      if (e + 1 == num_edges) {
-        buf.Add(std::move(el));
-      } else {
-        buf.Add(el);
-      }
-      if (buf.size() >= batch_size_) FlushBuffer(task, stage, e, i);
-    } else {
-      for (int i = 0; i < par; ++i) {
-        ElementBatch& buf = task->out[e][i];
-        buf.Add(el);
-        if (buf.size() >= batch_size_) FlushBuffer(task, stage, e, i);
-      }
-    }
-  }
+  BufferRecord(spec_, downstream_[stage], task->out, batch_size_,
+               std::move(el), [&](size_t e, int target) {
+                 FlushBuffer(task, stage, e, target);
+               });
 }
 
 void ThreadedRunner::RouteControl(int stage, int instance,

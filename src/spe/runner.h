@@ -42,10 +42,10 @@ class InstanceRuntime {
   InstanceRuntime(int stage, int instance, std::unique_ptr<Operator> op);
 
   /// Declares an upstream sender feeding `port`. Must be called for every
-  /// (port, sender) pair before the first Deliver.
+  /// (port, sender) pair before the first DeliverBatch.
   void AddExpectedSender(int port, int sender_gid);
 
-  /// Routing callbacks, set by the runner before the first Deliver.
+  /// Routing callbacks, set by the runner before the first DeliverBatch.
   /// Sends a record produced by the operator downstream.
   std::function<void(StreamElement&&)> emit_record;
   /// Broadcasts a control element (watermark / marker / done) downstream.
@@ -55,15 +55,12 @@ class InstanceRuntime {
 
   Status Open(const OperatorContext& ctx);
 
-  /// Processes one envelope (bookkeeping + operator callbacks).
-  void Deliver(Envelope env);
-
   /// Processes one batch envelope. Record runs inside the batch are handed
   /// to Operator::ProcessBatch; control elements are handled per element
   /// with the usual alignment rules. If a marker blocks the sender
   /// mid-batch, the unprocessed tail is parked (in order) until the marker
   /// fires — callers need no special casing.
-  void DeliverBatch(BatchEnvelope batch);
+  void DeliverBatch(BatchEnvelope&& batch);
 
   /// True once all senders signalled done and the operator was closed.
   bool Finished() const { return finished_; }
@@ -190,10 +187,20 @@ class Runner {
 
 /// Single-threaded, deterministic, depth-first execution. Parallel stage
 /// instances are still honored (hash routing picks an instance; all run on
-/// the caller's thread). Used by tests, reference runs, and examples.
+/// the caller's thread). Used by tests, reference runs, examples, and the
+/// engines behind shard pump threads.
+///
+/// Emitted records move between operators in batches, with the same
+/// policy as ThreadedRunner: each instance buffers its output per
+/// (edge, target instance) and delivers a buffer as one batch when it
+/// reaches `batch_size`, before the instance forwards any control element,
+/// and when the delivery that produced the records returns. The size cap
+/// bounds how long a long trigger holds its first results. `batch_size = 1`
+/// reproduces record-at-a-time depth-first order.
 class SyncRunner : public Runner {
  public:
-  SyncRunner(TopologySpec spec, SinkFn sink, SnapshotFn snapshot = nullptr);
+  SyncRunner(TopologySpec spec, SinkFn sink, SnapshotFn snapshot = nullptr,
+             size_t batch_size = 1);
   ~SyncRunner() override;
 
   Status Start() override;
@@ -209,16 +216,27 @@ class SyncRunner : public Runner {
   const std::string& StageName(int stage) const override;
 
  private:
-  void RouteFromInstance(int stage, int instance, const StreamElement& el,
-                         bool control);
+  struct Instance {
+    std::unique_ptr<internal::InstanceRuntime> runtime;
+    // Output buffers, indexed [downstream edge][target instance].
+    std::vector<std::vector<ElementBatch>> out;
+  };
+
+  /// Hands `batch` to one instance, then delivers whatever that delivery
+  /// left in the instance's output buffers.
+  void DeliverTo(int stage, int instance, BatchEnvelope&& batch);
+  void RouteRecord(int stage, int instance, StreamElement&& el);
+  void RouteControl(int stage, int instance, const StreamElement& el);
+  void FlushBuffer(int stage, int instance, size_t edge_idx, int target);
+  void FlushOutputs(int stage, int instance);
   void RouteExternal(int input_index, StreamElement element);
 
   TopologySpec spec_;
   SinkFn sink_;
   SnapshotFn snapshot_;
+  const size_t batch_size_;
   // instances_[stage][instance]
-  std::vector<std::vector<std::unique_ptr<internal::InstanceRuntime>>>
-      instances_;
+  std::vector<std::vector<Instance>> instances_;
   std::vector<std::vector<internal::DownstreamEdge>> downstream_;
   std::vector<int> gid_base_;
   bool started_ = false;

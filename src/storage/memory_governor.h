@@ -21,7 +21,8 @@ struct StorageOptions {
   /// When false and a budget is set, stores never spill; the facade
   /// reports backpressure (PushResult::kBackpressure) once over budget.
   bool allow_spill = true;
-  /// Spill directory. Empty = a per-job temp dir, removed on shutdown.
+  /// Parent of each engine's private spill dir (created, and removed on
+  /// shutdown, by SpillSpace). Empty = the system temp dir.
   std::string spill_dir;
   /// LZ-compress spilled run blocks (format v2, DESIGN.md §13). Off
   /// writes v2 files with raw blocks.

@@ -30,34 +30,37 @@ Result<std::unique_ptr<RunReader>> SpilledRun::OpenReader() const {
   return reader;
 }
 
-SpillSpace::SpillSpace(std::string dir, bool owns_dir)
-    : dir_(std::move(dir)), owns_dir_(owns_dir) {}
+SpillSpace::SpillSpace(std::string dir) : dir_(std::move(dir)) {}
 
 Result<std::unique_ptr<SpillSpace>> SpillSpace::Create(
     const std::string& dir) {
   std::error_code ec;
+  fs::path parent;
   if (!dir.empty()) {
-    fs::create_directories(dir, ec);
+    parent = dir;
+    fs::create_directories(parent, ec);
     if (ec) {
       return Status::Internal("cannot create spill dir: " + dir + ": " +
                               ec.message());
     }
-    return std::unique_ptr<SpillSpace>(new SpillSpace(dir, false));
+  } else {
+    parent = fs::temp_directory_path(ec);
+    if (ec) parent = "/tmp";
   }
-  std::string tmpl =
-      (fs::temp_directory_path(ec) / "astream-spill-XXXXXX").string();
-  if (ec) tmpl = "/tmp/astream-spill-XXXXXX";
+  // A private subdirectory even under an explicit dir: every engine's run
+  // counter starts at 0, so engines sharing one dir (the shards of a
+  // deployment) would otherwise overwrite each other's run files.
+  std::string tmpl = (parent / "astream-spill-XXXXXX").string();
   if (mkdtemp(tmpl.data()) == nullptr) {
-    return Status::Internal("cannot create spill temp dir: " + tmpl);
+    return Status::Internal("cannot create spill dir under " +
+                            parent.string());
   }
-  return std::unique_ptr<SpillSpace>(new SpillSpace(tmpl, true));
+  return std::unique_ptr<SpillSpace>(new SpillSpace(tmpl));
 }
 
 SpillSpace::~SpillSpace() {
-  if (owns_dir_) {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
+  std::error_code ec;
+  fs::remove_all(dir_, ec);
 }
 
 void SpillSpace::BindObs(obs::MetricsRegistry* metrics,

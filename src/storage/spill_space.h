@@ -42,13 +42,15 @@ class SpilledRun {
 using SpilledRunPtr = std::shared_ptr<const SpilledRun>;
 
 /// One job's spill directory: hands out run paths, owns the directory's
-/// lifetime (a generated temp dir is removed recursively on destruction),
-/// and funnels spill/reload accounting into the obs layer. Thread-safe —
-/// operator task threads spill concurrently.
+/// lifetime (it is removed recursively on destruction), and funnels
+/// spill/reload accounting into the obs layer. Thread-safe — operator
+/// task threads spill concurrently.
 class SpillSpace {
  public:
-  /// `dir` empty: a fresh temp directory is created (and owned). Non-empty:
-  /// the directory is created if missing and left behind on destruction.
+  /// Creates a private `astream-spill-XXXXXX` directory (mkdtemp) under
+  /// `dir`, or under the system temp dir when `dir` is empty; `dir` itself
+  /// is created if missing and left behind. Engines sharing one `dir`
+  /// never share run files.
   static Result<std::unique_ptr<SpillSpace>> Create(const std::string& dir);
   ~SpillSpace();
 
@@ -106,13 +108,12 @@ class SpillSpace {
  private:
   friend class SpilledRun;
 
-  SpillSpace(std::string dir, bool owns_dir);
+  explicit SpillSpace(std::string dir);
   void OnRunDeleted(const RunInfo& info);
   void OnReload(int64_t bytes, int64_t elapsed_ms);
   void PublishGauges() const;
 
   const std::string dir_;
-  const bool owns_dir_;
   RunWriter::Options writer_options_;
   std::atomic<uint64_t> next_id_{0};
   std::atomic<int64_t> spill_bytes_{0};

@@ -223,6 +223,18 @@ TEST(AStreamE2ETest, JoinSlidingWindowsAndSharedPairs) {
   EXPECT_GT(stats.join_pairs_reused, 0);
 }
 
+TEST(AStreamE2ETest, SelectionStatsCoverBothJoinStreams) {
+  E2EHarness h(Kind::kJoin);
+  h.Create(JoinQuery(spe::WindowSpec::Tumbling(50)), 0);
+  for (int i = 0; i < 12; ++i) h.PushA(3 + i * 8, Row{i % 3, i});
+  for (int i = 0; i < 8; ++i) h.PushB(4 + i * 8, Row{i % 3, i});
+  h.Watermark(150);
+  h.FinishAndVerify();
+  const auto stats = h.job()->CollectStats();
+  EXPECT_EQ(stats.selection_records_in, 20);
+  EXPECT_EQ(stats.selection_records_out, 20);  // no predicates
+}
+
 TEST(AStreamE2ETest, JoinAdhocCreateDeleteChurn) {
   E2EHarness h(Kind::kJoin);
   const QueryId q1 = h.Create(JoinQuery(spe::WindowSpec::Tumbling(50)), 0);

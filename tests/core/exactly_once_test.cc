@@ -20,7 +20,7 @@ using Kind = AStreamJob::TopologyKind;
 /// failure-free run. This works because everything in AStream is
 /// deterministic in event time: changelogs, slicing, window ids.
 class ExactlyOnceTest : public ::testing::Test {
- protected:
+ public:
   /// One scripted element of the experiment (the "source log").
   struct LogEntry {
     enum Kind { kPushA, kPushB, kWatermark, kSubmit, kCancel } kind;
@@ -30,12 +30,15 @@ class ExactlyOnceTest : public ::testing::Test {
     int cancel_index = -1;  // index into submitted ids
   };
 
-  std::unique_ptr<AStreamJob> MakeJob(Kind topology, ManualClock* clock) {
+ protected:
+  std::unique_ptr<AStreamJob> MakeJob(Kind topology, ManualClock* clock,
+                                      size_t batch_size) {
     AStreamJob::Options options;
     options.topology = topology;
     options.threaded = false;
     options.clock = clock;
     options.session.batch_size = 1;  // one changelog per request
+    options.batch_size = batch_size;
     auto job = AStreamJob::Create(options);
     EXPECT_TRUE(job.ok());
     auto ptr = std::move(job).value();
@@ -81,13 +84,15 @@ class ExactlyOnceTest : public ::testing::Test {
     }
   }
 
+  /// The failure-free run is element-at-a-time; the failing and the
+  /// recovered runs move `batch_size`-record batches between operators.
   void RunScenario(Kind topology, const std::vector<LogEntry>& log,
-                   size_t checkpoint_at) {
+                   size_t checkpoint_at, size_t batch_size = 1) {
     // ---- Failure-free run ----
     std::map<QueryId, RowMultiset> expected;
     {
       ManualClock clock;
-      auto job = MakeJob(topology, &clock);
+      auto job = MakeJob(topology, &clock, 1);
       std::vector<QueryId> ids;
       Replay(job.get(), &clock, log, 0, log.size(), &ids, &expected);
       job->FinishAndWait();
@@ -98,7 +103,7 @@ class ExactlyOnceTest : public ::testing::Test {
     spe::CheckpointStore::Checkpoint checkpoint;
     {
       ManualClock clock;
-      auto job = MakeJob(topology, &clock);
+      auto job = MakeJob(topology, &clock, batch_size);
       std::vector<QueryId> ids;
       Replay(job.get(), &clock, log, 0, checkpoint_at, &ids, &actual);
       const int64_t cp = job->TriggerCheckpoint();
@@ -112,7 +117,7 @@ class ExactlyOnceTest : public ::testing::Test {
     {
       ManualClock clock;
       clock.SetMs(log[checkpoint_at == 0 ? 0 : checkpoint_at - 1].time);
-      auto job = MakeJob(topology, &clock);
+      auto job = MakeJob(topology, &clock, batch_size);
       ASSERT_TRUE(job->RestoreFrom(checkpoint).ok());
       std::vector<QueryId> ids;
       // The session's control-plane state (id counter, slot allocator,
@@ -136,7 +141,8 @@ class ExactlyOnceTest : public ::testing::Test {
   }
 };
 
-TEST_F(ExactlyOnceTest, AggregationSurvivesFailure) {
+std::vector<ExactlyOnceTest::LogEntry> AggregationLog() {
+  using LogEntry = ExactlyOnceTest::LogEntry;
   std::vector<LogEntry> log;
   QueryDescriptor agg;
   agg.kind = QueryKind::kAggregation;
@@ -156,11 +162,11 @@ TEST_F(ExactlyOnceTest, AggregationSurvivesFailure) {
     }
   }
   log.push_back({LogEntry::kWatermark, 400, {}, {}, -1});
-  // Checkpoint mid-stream (after the 14th entry).
-  RunScenario(Kind::kAggregation, log, 14);
+  return log;
 }
 
-TEST_F(ExactlyOnceTest, JoinSurvivesFailure) {
+std::vector<ExactlyOnceTest::LogEntry> JoinLog() {
+  using LogEntry = ExactlyOnceTest::LogEntry;
   std::vector<LogEntry> log;
   QueryDescriptor join;
   join.kind = QueryKind::kJoin;
@@ -181,7 +187,23 @@ TEST_F(ExactlyOnceTest, JoinSurvivesFailure) {
     }
   }
   log.push_back({LogEntry::kWatermark, 300, {}, {}, -1});
-  RunScenario(Kind::kJoin, log, 20);
+  return log;
+}
+
+TEST_F(ExactlyOnceTest, AggregationSurvivesFailure) {
+  // Checkpoint mid-stream (after the 14th entry).
+  RunScenario(Kind::kAggregation, AggregationLog(), 14);
+}
+
+TEST_F(ExactlyOnceTest, JoinSurvivesFailure) {
+  RunScenario(Kind::kJoin, JoinLog(), 20);
+}
+
+// Batched operator edges (64-record batches) change neither the
+// checkpointed state nor the recovered outputs.
+TEST_F(ExactlyOnceTest, BatchedEdgesSurviveFailure) {
+  RunScenario(Kind::kAggregation, AggregationLog(), 14, /*batch_size=*/64);
+  RunScenario(Kind::kJoin, JoinLog(), 20, /*batch_size=*/64);
 }
 
 TEST_F(ExactlyOnceTest, AdhocChurnAfterRecovery) {

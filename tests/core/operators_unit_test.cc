@@ -267,6 +267,37 @@ TEST(LatencyStatsTest, ThinsBeyondCap) {
   EXPECT_NEAR(static_cast<double>(stats.Percentile(50)), 100'000, 5'000);
 }
 
+TEST(LatencyStatsTest, MergeIsExactAndWeighsBothSides) {
+  // 150k low values (thinned to stride 4) and 20k high values (stride 1):
+  // the merge keeps count, sum, min and max exact and samples both sides
+  // at one stride. The combined p75 is about 850; concatenating the raw
+  // sample buffers would over-weight the high side and put it above 1000.
+  LatencyStats low;
+  for (int i = 0; i < 150'000; ++i) low.Add(i % 1000);
+  LatencyStats high;
+  for (int i = 0; i < 20'000; ++i) high.Add(1000 + i % 1000);
+  const double sum = 150.0 * 499'500 + 20.0 * 1'499'500;
+  // Both orders: either side may be the coarser one.
+  for (const bool low_first : {true, false}) {
+    LatencyStats merged = low_first ? low : high;
+    merged.Merge(low_first ? high : low);
+    EXPECT_EQ(merged.count(), 170'000);
+    EXPECT_EQ(merged.min(), 0);
+    EXPECT_EQ(merged.max(), 1999);
+    EXPECT_DOUBLE_EQ(merged.mean(), sum / 170'000);
+    EXPECT_NEAR(static_cast<double>(merged.Percentile(75)), 850, 20);
+  }
+
+  LatencyStats small;
+  small.Add(5);
+  LatencyStats empty;
+  empty.Merge(small);
+  small.Merge(LatencyStats{});
+  EXPECT_EQ(empty.count(), 1);
+  EXPECT_EQ(empty.Percentile(50), 5);
+  EXPECT_EQ(small.count(), 1);
+}
+
 TEST(QosMonitorTest, PerQueryAccounting) {
   QosMonitor qos;
   qos.RecordOutput(1, 100, 150);

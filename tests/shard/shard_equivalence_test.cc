@@ -186,6 +186,7 @@ struct RunOutcome {
   int final_shards = 0;
   int64_t reshard_pause_ms = -1;
   int64_t recoveries = 0;
+  int64_t spills = 0;  // summed over shards
   Status health = Status::OK();
 };
 
@@ -267,6 +268,11 @@ RunOutcome RunClient(const Script& script, JobConfig config,
     auto* supervised = client->router()->shard(s)->supervised();
     if (supervised != nullptr) outcome.recoveries += supervised->recoveries();
   }
+  const auto metrics = client->MetricsSnapshot();
+  const auto spill_ms = metrics.histograms.find("storage.spill_ms");
+  if (spill_ms != metrics.histograms.end()) {
+    outcome.spills = spill_ms->second.count;
+  }
   return outcome;
 }
 
@@ -316,6 +322,31 @@ TEST(ShardEquivalenceTest, ThreadedRouterMatchesReference) {
 
   EXPECT_TRUE(run.health.ok()) << run.health.ToString();
   EXPECT_EQ(reference, run.outputs);
+}
+
+// --- Budgeted shards sharing one explicit spill dir. ---------------------
+
+// Every shard's engine numbers its run files from 0; each spills into a
+// private subdirectory of the shared spill_dir, so no shard overwrites
+// another's runs and the merged output still matches the reference.
+TEST(ShardEquivalenceTest, BudgetedShardsShareOneSpillDir) {
+  const Script script = MakeScript();
+  const auto reference = RunReference(script);
+
+  ManualClock clock;
+  JobConfig config = BaseConfig(&clock);
+  config.shards = 2;
+  config.job.storage.memory_budget_bytes = 2 << 10;
+  const std::string dir = FreshDir("astream_shard_spill_test");
+  config.job.storage.spill_dir = dir;
+  const RunOutcome run = RunClient(script, std::move(config));
+
+  EXPECT_TRUE(run.health.ok()) << run.health.ToString();
+  EXPECT_GT(run.spills, 0);
+  EXPECT_EQ(reference, run.outputs);
+  // The private subdirectories went with their engines.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 // --- Live resharding. ----------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "spe/operators.h"
 
@@ -207,6 +210,137 @@ TEST(SyncRunnerTest, MarkerAlignmentBlocksEarlySender) {
   // The sink saw the marker exactly once (forwarded post-alignment).
   EXPECT_EQ(sink.markers.size(), 1u);
 }
+
+/// Emits `fan` records (numbered in one global sequence) per input record
+/// and on every watermark, marker and close, and logs the order in which
+/// a downstream operator must observe them: records, then the control
+/// element the runtime forwards after them.
+class BurstOperator : public Operator {
+ public:
+  BurstOperator(int fan, std::vector<std::string>* expected)
+      : fan_(fan), expected_(expected) {}
+  void ProcessRecord(int port, Record record, Collector* out) override {
+    (void)port;
+    Burst(record.event_time, out);
+  }
+  void OnWatermark(TimestampMs wm, Collector* out) override {
+    Burst(wm == kMaxTimestamp ? 0 : wm, out);
+    expected_->push_back("w");
+  }
+  void OnMarker(const ControlMarker& m, Collector* out) override {
+    Burst(m.time, out);
+    expected_->push_back("m:" + std::to_string(m.epoch));
+  }
+  void Close(Collector* out) override {
+    Burst(0, out);
+    expected_->push_back("close");
+  }
+
+ private:
+  void Burst(TimestampMs t, Collector* out) {
+    for (int i = 0; i < fan_; ++i) {
+      expected_->push_back("r" + std::to_string(next_));
+      out->Emit(StreamElement::MakeRecord(t, Row{next_++}));
+    }
+  }
+  const int fan_;
+  std::vector<std::string>* expected_;
+  int64_t next_ = 0;
+};
+
+/// Logs what it observes (records, watermarks, markers, close) and the
+/// size of every ProcessBatch call.
+class ProbeOperator : public Operator {
+ public:
+  void ProcessRecord(int port, Record record, Collector* out) override {
+    (void)port;
+    (void)out;
+    seen.push_back("r" + std::to_string(record.row.At(0)));
+  }
+  void ProcessBatch(int port, RecordBatch& records, Collector* out) override {
+    batch_sizes.push_back(records.size());
+    for (Record& r : records) ProcessRecord(port, std::move(r), out);
+  }
+  void OnWatermark(TimestampMs wm, Collector* out) override {
+    (void)wm;
+    (void)out;
+    seen.push_back("w");
+  }
+  void OnMarker(const ControlMarker& m, Collector* out) override {
+    (void)out;
+    seen.push_back("m:" + std::to_string(m.epoch));
+  }
+  void Close(Collector* out) override {
+    (void)out;
+    seen.push_back("close");
+  }
+
+  std::vector<std::string> seen;
+  std::vector<size_t> batch_sizes;
+};
+
+// SyncRunner edges carry batches of at most `batch_size` records, in emit
+// order, and every record reaches the downstream operator before any
+// watermark, marker or done its upstream forwards after emitting it.
+class SyncBatchedEdgesTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SyncBatchedEdgesTest, CapsBatchesAndKeepsEmitAndControlOrder) {
+  const size_t k = GetParam();
+  std::vector<std::string> expected;
+  ProbeOperator* probe = nullptr;
+  TopologySpec spec;
+  StageSpec burst;
+  burst.name = "burst";
+  burst.factory = [&expected](int) {
+    return std::make_unique<BurstOperator>(/*fan=*/10, &expected);
+  };
+  const int sb = spec.AddStage(std::move(burst));
+  StageSpec sink;
+  sink.name = "probe";
+  sink.is_sink = true;
+  sink.factory = [&probe](int) {
+    auto op = std::make_unique<ProbeOperator>();
+    probe = op.get();
+    return op;
+  };
+  sink.inputs = {{sb, 0, Partitioning::kHash}};
+  spec.AddStage(std::move(sink));
+  spec.AddExternalInput({"in", sb, 0, Partitioning::kHash});
+
+  SyncRunner runner(std::move(spec), nullptr, nullptr, k);
+  ASSERT_TRUE(runner.Start().ok());
+  for (int i = 0; i < 3; ++i) {
+    runner.Push(0, StreamElement::MakeRecord(i, Row{i}));
+  }
+  ElementBatch batch;
+  for (int i = 3; i < 8; ++i) {
+    batch.Add(StreamElement::MakeRecord(i, Row{i}));
+  }
+  runner.PushBatch(0, std::move(batch));
+  runner.Push(0, StreamElement::MakeWatermark(10));
+  ControlMarker marker;
+  marker.kind = MarkerKind::kChangelog;
+  marker.epoch = 1;
+  marker.time = 11;
+  runner.InjectMarker(marker);
+  runner.Push(0, StreamElement::MakeRecord(12, Row{12}));
+  runner.FinishAndWait();
+
+  EXPECT_EQ(probe->seen, expected);
+  ASSERT_FALSE(probe->batch_sizes.empty());
+  size_t largest = 0;
+  for (size_t n : probe->batch_sizes) {
+    EXPECT_LE(n, k);
+    largest = std::max(largest, n);
+  }
+  // The five-record input batch fans out to 50 records in one delivery:
+  // full batches form, and a partial one ships when the delivery returns.
+  EXPECT_EQ(largest, std::min<size_t>(k, 50));
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, SyncBatchedEdgesTest,
+                         ::testing::Values(size_t{1}, size_t{4},
+                                           size_t{64}));
 
 TEST(ThreadedRunnerTest, FilterPipelineParallel) {
   SinkCollector sink;
