@@ -90,9 +90,11 @@ ASTREAM_MJOIN_ROWS=4000 ./build/bench/micro_mjoin
 echo "== storage v2: loser-tree merge, compressed runs, compaction, v1 compat =="
 # Format v2 (per-block LZ) must round-trip byte-exactly, read PR 5-era v1
 # files, survive torn/corrupt compressed blocks, and fold runs without
-# changing the merged order (ties broken by input index).
+# changing the merged order (ties broken by input index). Spilled runs
+# live as extents of one segment file per engine: freed extents are
+# reused and coalesce, and an unreadable spilled block fails the job.
 ./build/tests/astream_tests \
-  --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:MergeTest.*:MemoryGovernorTest.*'
+  --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:MergeTest.*:MemoryGovernorTest.*:SegmentStoreTest.*:SpillFailureTest.*'
 
 echo "== micro_spill: compressed-budgeted legs (8 MiB cap, compaction on) =="
 # Exits nonzero if any leg's output hash (raw v1, compressed, compacted)
@@ -157,9 +159,11 @@ else
   echo "== tsan: compaction worker (fold thread vs owning-task adoption) =="
   # The worker folds runs off-thread and hands them over through the
   # ticket's release/acquire fences; readers adopt on the task thread.
+  # Operator threads spill, scan and release through one segment's
+  # extent allocator while the worker folds.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='CompactorTest.*'
+    --gtest_filter='CompactorTest.*:SegmentStoreTest.ConcurrentSpillScanReleaseWithCompactionWorker'
 
   echo "== tsan: arrangement multi-reader cursor path (threaded fleet) =="
   # Worker threads resolve versioned cursors against the shared
@@ -187,10 +191,10 @@ else
   ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/astream_tests
 
   echo "== asan: LZ codec + compressed run format (bounds on malformed input) =="
-  # The decompressor is the safety boundary for on-disk bytes (OpenReader
-  # skips the CRC); fuzz-ish corrupt-block tests must stay in bounds.
+  # The decompressor is the safety boundary for on-disk bytes (spilled
+  # runs carry no CRC); fuzz-ish corrupt-block tests must stay in bounds.
   ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/astream_tests \
-    --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*'
+    --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:SegmentStoreTest.*:SpillFailureTest.*'
 
   echo "== asan: out-of-core storage under an 8 MiB budget =="
   # The spill/reload/merge and torn-file recovery paths shuffle large
@@ -198,7 +202,7 @@ else
   # active so the governor's eviction loop is exercised under ASan.
   ASTREAM_MEMORY_BUDGET=8m ASAN_OPTIONS="detect_leaks=1" \
     ./build-asan/tests/astream_tests \
-    --gtest_filter='RunFileTest.*:MemoryGovernorTest.*:ParseByteSizeTest.*:ResolveMemoryBudgetTest.*:DurableCheckpointTest.*:SpillEquivalenceTest.*:DurableRecoveryTest.*:CheckpointDedupTest.*:Seeds/ChaosEquivalenceTest.ExactlyOnceUnderCrashChurnAndSpill/*'
+    --gtest_filter='RunFileTest.*:MemoryGovernorTest.*:ParseByteSizeTest.*:ResolveMemoryBudgetTest.*:DurableCheckpointTest.*:SpillEquivalenceTest.*:DurableRecoveryTest.*:CheckpointDedupTest.*:Seeds/ChaosEquivalenceTest.ExactlyOnceUnderCrashChurnAndSpill/*:SegmentStoreTest.*:SpillFailureTest.*'
 fi
 
 echo "verify: OK"

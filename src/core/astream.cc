@@ -58,9 +58,10 @@ Result<std::unique_ptr<AStreamJob>> AStreamJob::Create(Options options) {
     job->spill_space_->BindObs(&job->metrics_, &job->trace_);
     job->governor_ = std::make_unique<storage::MemoryGovernor>(
         budget, options.storage.allow_spill);
-    // Storage engine v2 (DESIGN.md §13): one job-wide run format — every
-    // store (slices, partials, CL deltas) writes through these options.
-    storage::RunWriter::Options wo;
+    // Storage engine v2 (DESIGN.md §13): one job-wide block format —
+    // every store (slices, partials, CL deltas) and the compactor write
+    // through these options.
+    storage::SpillSpace::WriterOptions wo;
     wo.compress = options.storage.compress_spill;
     job->spill_space_->SetWriterOptions(wo);
     if (options.storage.compaction) {
@@ -70,7 +71,6 @@ Result<std::unique_ptr<AStreamJob>> AStreamJob::Create(Options options) {
       // threaded mode.
       copts.sync = !options.threaded;
       copts.min_runs = options.storage.compaction_min_runs;
-      copts.writer = wo;
       job->compactor_ = std::make_unique<storage::Compactor>(
           job->spill_space_.get(), copts);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "spe/state.h"
 
@@ -89,18 +90,21 @@ void ClTable::EvictBelow(int64_t min_index) {
 
 QuerySet ClTable::DeltaOf(const SliceEntry& e, int64_t index) const {
   if (!e.spilled) return e.delta;
-  auto reader = e.run->OpenReader();
-  if (!reader.ok()) return e.delta;  // validated at write time
+  storage::SpillReader reader(e.run);
+  reader.SkipBlocksBelow(index);
   int64_t key = 0;
   std::vector<uint8_t> payload;
-  while ((*reader)->Next(&key, &payload)) {
+  while (reader.Next(&key, &payload) && key <= index) {
     if (key != index) continue;
     spe::StateReader dec(std::move(payload));
     QuerySet delta = dec.ReadBitset();
     if (dec.Ok()) return delta;
     break;
   }
-  return e.delta;
+  // A wrong delta would apply a wrong changelog mask to every window that
+  // spans this slice: fail the task instead.
+  throw storage::SpillReadError("spilled changelog delta of slice " +
+                                std::to_string(index) + " is unreadable");
 }
 
 void ClTable::EnsureDelta(SliceEntry& e, int64_t index) {
@@ -118,18 +122,17 @@ size_t ClTable::SpillBelow(int64_t max_index, storage::SpillSpace* space) {
     if (!Entry(i).spilled) victims.push_back(i);
   }
   if (victims.empty()) return 0;
-  storage::RunWriter writer(space->NextRunPath("cl"), space->writer_options());
+  storage::SpillWriter writer(space);
   for (int64_t i : victims) {
     spe::StateWriter enc;
     enc.WriteBitset(Entry(i).delta);
     if (!writer.Append(i, enc.buffer().data(), enc.buffer().size()).ok()) {
-      writer.Abort();
       return 0;
     }
   }
-  auto info = writer.Finish();
-  if (!info.ok()) return 0;
-  storage::SpilledRunPtr run = space->Adopt(std::move(info).value(), 0);
+  auto finished = writer.Finish();
+  if (!finished.ok()) return 0;
+  const storage::SpilledRunPtr run = std::move(finished).value();
   size_t released = 0;
   for (int64_t i : victims) {
     SliceEntry& e = Entry(i);

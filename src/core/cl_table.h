@@ -91,6 +91,7 @@ class ClTable {
   /// Reloads a spilled delta into the entry (no-op when resident).
   void EnsureDelta(SliceEntry& e, int64_t index);
   /// Read-only delta access that works for spilled entries (Serialize).
+  /// Throws storage::SpillReadError when a spilled delta cannot be read.
   QuerySet DeltaOf(const SliceEntry& e, int64_t index) const;
 
   SliceEntry& Entry(int64_t index) {

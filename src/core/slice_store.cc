@@ -1,16 +1,17 @@
 #include "core/slice_store.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace astream::core {
 
 namespace {
 
-int64_t ElapsedMs(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+/// A spilled entry that does not decode is lost state: it fails the task
+/// like any other failed read of a run, never ends a scan early.
+void CheckDecoded(const spe::StateReader& dec) {
+  if (!dec.Ok()) {
+    throw storage::SpillReadError("spilled entry does not decode");
+  }
 }
 
 }  // namespace
@@ -72,7 +73,8 @@ double TupleStore::AvgGroupSize() const {
 size_t TupleStore::SpillToDisk() {
   if (spill_ == nullptr || resident_tuples_ == 0) return 0;
   AdoptCompaction();
-  const auto t0 = std::chrono::steady_clock::now();
+  // Constructed first: the spill latency covers the sort and the write.
+  storage::SpillWriter writer(spill_);
   std::vector<ScanEntry> entries;
   entries.reserve(resident_tuples_);
   ForEachResident([&](const spe::Row& row, const QuerySet& tags) {
@@ -82,21 +84,20 @@ size_t TupleStore::SpillToDisk() {
                    [](const ScanEntry& a, const ScanEntry& b) {
                      return a.key < b.key;
                    });
-  storage::RunWriter writer(spill_->NextRunPath("slice"),
-                            spill_->writer_options());
   for (const ScanEntry& e : entries) {
     spe::StateWriter enc;
     enc.WriteRow(e.row);
     enc.WriteBitset(e.tags);
     if (!writer.Append(e.key, enc.buffer().data(), enc.buffer().size())
              .ok()) {
-      writer.Abort();
-      return 0;  // resident state untouched; the caller stays over budget
+      // The writer frees its extents; resident state is untouched and the
+      // caller stays over budget.
+      return 0;
     }
   }
-  auto info = writer.Finish();
-  if (!info.ok()) return 0;
-  runs_.push_back(spill_->Adopt(std::move(info).value(), ElapsedMs(t0)));
+  auto run = writer.Finish();
+  if (!run.ok()) return 0;
+  runs_.push_back(std::move(run).value());
   MaybeScheduleCompaction();
   const size_t released = ResidentBytes();
   res_ = std::make_unique<Resident>();
@@ -127,7 +128,7 @@ void TupleStore::AdoptCompaction() const {
 void TupleStore::MaybeScheduleCompaction() const {
   if (compactor_ == nullptr || compaction_ != nullptr) return;
   if (runs_.size() < compactor_->min_runs()) return;
-  compaction_ = compactor_->Submit(runs_, "slice");
+  compaction_ = compactor_->Submit(runs_);
   if (compactor_->sync()) AdoptCompaction();
 }
 
@@ -313,7 +314,6 @@ std::unique_ptr<TupleStore::SortedStream> TupleStore::SortedScan() const {
                    [](const ScanEntry& a, const ScanEntry& b) {
                      return a.key < b.key;
                    });
-  stream->runs_ = runs_;
 
   std::vector<storage::KWayMerge<ScanEntry>::Source> sources;
   SortedStream* s = stream.get();
@@ -322,11 +322,11 @@ std::unique_ptr<TupleStore::SortedStream> TupleStore::SortedScan() const {
     *out = s->resident_[s->resident_pos_++];
     return true;
   });
-  for (const storage::SpilledRunPtr& run : stream->runs_) {
-    auto reader = run->OpenReader();
-    if (!reader.ok()) continue;  // validated at write time; never expected
-    storage::RunReader* r =
-        stream->readers_.emplace_back(std::move(reader).value()).get();
+  for (const storage::SpilledRunPtr& run : runs_) {
+    storage::SpillReader* r =
+        stream->readers_
+            .emplace_back(std::make_unique<storage::SpillReader>(run))
+            .get();
     sources.push_back([r](ScanEntry* out) {
       int64_t key = 0;
       std::vector<uint8_t> payload;
@@ -335,7 +335,8 @@ std::unique_ptr<TupleStore::SortedStream> TupleStore::SortedScan() const {
       out->key = key;
       out->row = dec.ReadRow();
       out->tags = dec.ReadBitset();
-      return dec.Ok();
+      CheckDecoded(dec);
+      return true;
     });
   }
   stream->merge_ =
@@ -362,15 +363,14 @@ void TupleStore::ForEach(
     const std::function<void(const spe::Row&, const QuerySet&)>& fn) const {
   AdoptCompaction();
   for (const storage::SpilledRunPtr& run : runs_) {
-    auto reader = run->OpenReader();
-    if (!reader.ok()) continue;
+    storage::SpillReader reader(run);
     int64_t key = 0;
     std::vector<uint8_t> payload;
-    while ((*reader)->Next(&key, &payload)) {
+    while (reader.Next(&key, &payload)) {
       spe::StateReader dec(std::move(payload));
       spe::Row row = dec.ReadRow();
       QuerySet tags = dec.ReadBitset();
-      if (!dec.Ok()) break;
+      CheckDecoded(dec);
       fn(row, tags);
     }
   }
@@ -475,7 +475,7 @@ void AggStore::ForEachGroupsMerged(const GroupsFn& fn) const {
 size_t AggStore::SpillToDisk() {
   if (spill_ == nullptr || res_->keys.empty()) return 0;
   AdoptCompaction();
-  const auto t0 = std::chrono::steady_clock::now();
+  storage::SpillWriter writer(spill_);
   std::vector<ScanEntry> entries;
   entries.reserve(res_->keys.size());
   for (const auto& [key, groups] : res_->keys) {
@@ -488,8 +488,6 @@ size_t AggStore::SpillToDisk() {
             [](const ScanEntry& a, const ScanEntry& b) {
               return a.key < b.key;
             });
-  storage::RunWriter writer(spill_->NextRunPath("agg"),
-                            spill_->writer_options());
   for (const ScanEntry& e : entries) {
     spe::StateWriter enc;
     enc.WriteU64(e.groups.size());
@@ -499,13 +497,12 @@ size_t AggStore::SpillToDisk() {
     }
     if (!writer.Append(e.key, enc.buffer().data(), enc.buffer().size())
              .ok()) {
-      writer.Abort();
       return 0;
     }
   }
-  auto info = writer.Finish();
-  if (!info.ok()) return 0;
-  runs_.push_back(spill_->Adopt(std::move(info).value(), ElapsedMs(t0)));
+  auto run = writer.Finish();
+  if (!run.ok()) return 0;
+  runs_.push_back(std::move(run).value());
   MaybeScheduleCompaction();
   const size_t released = ResidentBytes();
   res_ = std::make_unique<Resident>();
@@ -531,7 +528,7 @@ void AggStore::AdoptCompaction() const {
 void AggStore::MaybeScheduleCompaction() const {
   if (compactor_ == nullptr || compaction_ != nullptr) return;
   if (runs_.size() < compactor_->min_runs()) return;
-  compaction_ = compactor_->Submit(runs_, "agg");
+  compaction_ = compactor_->Submit(runs_);
   if (compactor_->sync()) AdoptCompaction();
 }
 
@@ -555,7 +552,7 @@ void AggStore::ForEachMergedEntry(
               return a.key < b.key;
             });
   size_t resident_pos = 0;
-  std::vector<std::unique_ptr<storage::RunReader>> readers;
+  std::vector<std::unique_ptr<storage::SpillReader>> readers;
   std::vector<storage::KWayMerge<ScanEntry>::Source> sources;
   sources.push_back([&resident, &resident_pos](ScanEntry* out) {
     if (resident_pos >= resident.size()) return false;
@@ -563,10 +560,9 @@ void AggStore::ForEachMergedEntry(
     return true;
   });
   for (const storage::SpilledRunPtr& run : runs_) {
-    auto reader = run->OpenReader();
-    if (!reader.ok()) continue;
-    storage::RunReader* r =
-        readers.emplace_back(std::move(reader).value()).get();
+    storage::SpillReader* r =
+        readers.emplace_back(std::make_unique<storage::SpillReader>(run))
+            .get();
     sources.push_back([r](ScanEntry* out) {
       int64_t key = 0;
       std::vector<uint8_t> payload;
@@ -582,7 +578,8 @@ void AggStore::ForEachMergedEntry(
         DecodeAcc(&dec, &g.acc);
         out->groups.push_back(std::move(g));
       }
-      return dec.Ok();
+      CheckDecoded(dec);
+      return true;
     });
   }
   storage::KWayMerge<ScanEntry> merge(std::move(sources));

@@ -40,7 +40,7 @@ enum class StoreMode : uint8_t {
 /// them.
 ///
 /// Out-of-core (DESIGN.md §10): a store bound to a SpillSpace can move its
-/// entire resident population to an immutable key-sorted run file
+/// entire resident population to an immutable key-sorted spilled run
 /// (SpillToDisk) — the arena and containers are rebuilt from scratch, so
 /// the memory is actually returned, not just logically cleared. A store
 /// may hold several runs (it keeps receiving inserts after a spill).
@@ -116,10 +116,12 @@ class TupleStore {
     QuerySet tags;
   };
 
-  /// Streaming key-ordered view over resident tuples + all runs. Holds
-  /// references to the runs it reads, so eviction of the store mid-scan
-  /// cannot unlink files under the iterator. Memory: one run block per
-  /// run plus the sorted resident snapshot.
+  /// Streaming key-ordered view over resident tuples + all runs. Its
+  /// readers hold the runs they read, so eviction of the store mid-scan
+  /// cannot free their extents under the iterator. Memory: one run block
+  /// per run plus the sorted resident snapshot. A run that cannot be read
+  /// back throws storage::SpillReadError from Next (and from SortedScan,
+  /// which reads every run's first block).
   class SortedStream {
    public:
     bool Next(ScanEntry* out) { return merge_->Next(out); }
@@ -129,14 +131,14 @@ class TupleStore {
     SortedStream() = default;
     std::vector<ScanEntry> resident_;
     size_t resident_pos_ = 0;
-    std::vector<storage::SpilledRunPtr> runs_;
-    std::vector<std::unique_ptr<storage::RunReader>> readers_;
+    std::vector<std::unique_ptr<storage::SpillReader>> readers_;
     std::unique_ptr<storage::KWayMerge<ScanEntry>> merge_;
   };
   std::unique_ptr<SortedStream> SortedScan() const;
 
   /// Calls fn(row, tags) for every stored tuple — spilled runs first (in
-  /// spill order), then resident.
+  /// spill order), then resident. Throws storage::SpillReadError when a
+  /// run cannot be read back, so a checkpoint never lacks spilled state.
   void ForEach(
       const std::function<void(const spe::Row&, const QuerySet&)>& fn) const;
 

@@ -65,11 +65,9 @@ void Compactor::Stop() {
   }
 }
 
-CompactionTicketPtr Compactor::Submit(std::vector<SpilledRunPtr> inputs,
-                                      const std::string& kind) {
+CompactionTicketPtr Compactor::Submit(std::vector<SpilledRunPtr> inputs) {
   auto ticket = std::make_shared<CompactionTicket>();
   ticket->inputs_ = std::move(inputs);
-  ticket->kind_ = kind;
   if (ticket->inputs_.size() < 2) {
     ticket->state_.store(CompactionTicket::State::kFailed,
                          std::memory_order_release);
@@ -110,46 +108,37 @@ void Compactor::Process(CompactionTicket* ticket) {
   const auto t0 = std::chrono::steady_clock::now();
   bool ok = false;
   try {
-    std::vector<std::unique_ptr<RunReader>> readers;
+    std::vector<std::unique_ptr<SpillReader>> readers;
     std::vector<KWayMerge<RawEntry>::Source> sources;
     readers.reserve(ticket->inputs_.size());
     for (const SpilledRunPtr& run : ticket->inputs_) {
-      auto reader = run->OpenReader();
-      if (!reader.ok()) {
-        readers.clear();
-        break;
-      }
-      RunReader* r = readers.emplace_back(std::move(reader).value()).get();
+      SpillReader* r =
+          readers.emplace_back(std::make_unique<SpillReader>(run)).get();
       sources.push_back([r](RawEntry* out) {
         return r->Next(&out->key, &out->payload);
       });
     }
-    if (readers.size() == ticket->inputs_.size()) {
-      RunWriter writer(space_->NextRunPath(ticket->kind_ + "-compact"),
-                       options_.writer);
-      KWayMerge<RawEntry> merge(std::move(sources));
-      RawEntry e;
-      Status status = CheckCompactionFault();
-      while (status.ok() && merge.Next(&e)) {
-        status = writer.Append(e.key, e.payload.data(), e.payload.size());
-      }
-      for (const auto& r : readers) {
-        if (!r->status().ok()) status = r->status();
-      }
-      if (status.ok()) status = CheckCompactionFault();
-      if (status.ok()) {
-        auto info = writer.Finish();
-        if (info.ok()) {
-          ticket->output_ = space_->AdoptCompacted(std::move(info).value());
-          ok = true;
-        }
-      } else {
-        writer.Abort();
+    SpillWriter writer(space_, SpillWriter::Kind::kCompaction);
+    KWayMerge<RawEntry> merge(std::move(sources));
+    RawEntry e;
+    Status status = CheckCompactionFault();
+    while (status.ok() && merge.Next(&e)) {
+      status = writer.Append(e.key, e.payload.data(), e.payload.size());
+    }
+    if (status.ok()) status = CheckCompactionFault();
+    if (status.ok()) {
+      auto run = writer.Finish();
+      if (run.ok()) {
+        ticket->output_ = std::move(run).value();
+        ok = true;
       }
     }
   } catch (const fault::InjectedFault&) {
-    // Worker "crash": the output temp file dies with the writer; inputs
+    // Worker "crash": the output's extents die with the writer; inputs
     // were never touched. The owner simply keeps its existing runs.
+  } catch (const SpillReadError&) {
+    // An unreadable input: the fold fails with the inputs in place, and
+    // the owner's own next read of that run fails its task.
   }
   const int64_t ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                          std::chrono::steady_clock::now() - t0)

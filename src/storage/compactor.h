@@ -7,11 +7,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "storage/run_file.h"
 #include "storage/spill_space.h"
 
 namespace astream::storage {
@@ -40,7 +38,6 @@ class CompactionTicket {
  private:
   friend class Compactor;
   std::vector<SpilledRunPtr> inputs_;
-  std::string kind_;
   SpilledRunPtr output_;
   std::atomic<State> state_{State::kPending};
 };
@@ -57,15 +54,16 @@ using CompactionTicketPtr = std::shared_ptr<CompactionTicket>;
 ///    equivalence and chaos suite runs, and the default when the job
 ///    itself is single-threaded.
 ///  - worker: Start() spawns one background thread that drains the queue;
-///    Submit() returns a pending ticket. Input runs are immutable files
-///    and the output is tmp+rename-atomic, so the worker never touches
-///    store state — the only shared point is the ticket.
+///    Submit() returns a pending ticket. Input runs are immutable and the
+///    output becomes a run only at a clean Finish, so the worker never
+///    touches store state — the only shared point is the ticket.
 ///
-/// Failure (injected via FaultPoint::kCompaction / kStorageWrite, or a
-/// real write error) settles the ticket kFailed with the inputs
-/// untouched; the store just keeps its existing runs. A crash that kills
-/// the worker mid-write leaves a torn `.tmp` the reader would reject —
-/// never a half-adopted run.
+/// Failure (injected via FaultPoint::kCompaction / kStorageWrite, a real
+/// write error, or an input that cannot be read) settles the ticket
+/// kFailed with the inputs untouched; the store just keeps its existing
+/// runs (and hits an unreadable one on its own next read). A crash that
+/// kills the worker mid-write frees the output's extents — never a
+/// half-adopted run.
 class Compactor {
  public:
   struct Options {
@@ -74,8 +72,6 @@ class Compactor {
     /// Stores schedule a compaction once they hold at least this many
     /// runs (MinRunsToCompact guards the call sites).
     size_t min_runs = 4;
-    /// Output-run format (compression etc.).
-    RunWriter::Options writer;
   };
 
   Compactor(SpillSpace* space, Options options);
@@ -91,10 +87,9 @@ class Compactor {
   void Stop();
 
   /// Schedules `inputs` (>= 2 runs, a store's oldest-first prefix) to be
-  /// folded into one run tagged `kind`. Sync mode settles the ticket
-  /// before returning.
-  CompactionTicketPtr Submit(std::vector<SpilledRunPtr> inputs,
-                             const std::string& kind);
+  /// folded into one run, written with the space's writer options. Sync
+  /// mode settles the ticket before returning.
+  CompactionTicketPtr Submit(std::vector<SpilledRunPtr> inputs);
 
   size_t min_runs() const { return options_.min_runs; }
   bool sync() const { return options_.sync; }

@@ -21,9 +21,8 @@ constexpr size_t kTailBytes = 24;           // offset + len + crc + magic
 /// not data — refuse before allocating.
 constexpr uint32_t kMaxRawBlockBytes = 1u << 30;
 
-/// kStorageWrite hook shared by block flush and finish. kFail surfaces as
-/// an error Status (caller keeps its resident state); kThrow crashes the
-/// writing task mid-file, leaving a torn temp file for recovery to reject.
+}  // namespace
+
 Status CheckStorageFault() {
   if (fault::FaultInjector* inj = fault::ActiveInjector()) {
     const fault::FaultDecision d =
@@ -38,7 +37,99 @@ Status CheckStorageFault() {
   return Status::OK();
 }
 
-}  // namespace
+Status BlockBuilder::Append(int64_t key, const void* payload, size_t size) {
+  if (have_key_ && key < max_key_) {
+    return Status::InvalidArgument(
+        "run entries must be appended in key order");
+  }
+  if (!have_key_) {
+    min_key_ = key;
+    have_key_ = true;
+  }
+  max_key_ = key;
+  if (block_entries_ == 0) block_min_key_ = key;
+  block_max_key_ = key;
+
+  const uint32_t entry_bytes = static_cast<uint32_t>(size + sizeof(int64_t));
+  const size_t old = block_.size();
+  block_.resize(old + sizeof(uint32_t) + entry_bytes);
+  std::memcpy(block_.data() + old, &entry_bytes, sizeof(entry_bytes));
+  std::memcpy(block_.data() + old + sizeof(uint32_t), &key, sizeof(key));
+  std::memcpy(block_.data() + old + sizeof(uint32_t) + sizeof(key), payload,
+              size);
+  ++block_entries_;
+  ++num_entries_;
+  return Status::OK();
+}
+
+BlockFrame EncodeBlock(const std::vector<uint8_t>& block, bool compress,
+                       std::vector<uint8_t>* scratch) {
+  BlockFrame frame;
+  const uint32_t raw_bytes = static_cast<uint32_t>(block.size());
+  frame.header[0] = raw_bytes;
+  frame.header[1] = raw_bytes;
+  frame.payload = block.data();
+  if (compress) {
+    scratch->resize(LzMaxCompressedSize(block.size()));
+    const size_t packed =
+        LzCompress(block.data(), block.size(), scratch->data());
+    // Keep the compressed form only when it actually shrinks; an
+    // incompressible block is stored raw (stored == raw flags it).
+    if (packed < block.size()) {
+      frame.header[0] = static_cast<uint32_t>(packed);
+      frame.payload = scratch->data();
+    }
+  }
+  return frame;
+}
+
+Status BlockDecoder::CheckHeader(uint32_t stored_bytes, uint32_t raw_bytes) {
+  if (stored_bytes > raw_bytes || raw_bytes > kMaxRawBlockBytes) {
+    return Status::Internal("corrupt block header");
+  }
+  return Status::OK();
+}
+
+uint8_t* BlockDecoder::PayloadBuffer(uint32_t stored_bytes,
+                                     uint32_t raw_bytes) {
+  pos_ = 0;
+  if (stored_bytes == raw_bytes) {
+    block_.resize(raw_bytes);
+    return block_.data();
+  }
+  block_.clear();
+  scratch_.resize(stored_bytes);
+  return scratch_.data();
+}
+
+Status BlockDecoder::Decode(uint32_t stored_bytes, uint32_t raw_bytes) {
+  pos_ = 0;
+  if (stored_bytes == raw_bytes) return Status::OK();
+  block_.resize(raw_bytes);
+  if (!LzDecompress(scratch_.data(), stored_bytes, block_.data(),
+                    raw_bytes)) {
+    block_.clear();
+    return Status::Internal("compressed block corrupt");
+  }
+  return Status::OK();
+}
+
+Status BlockDecoder::Next(int64_t* key, std::vector<uint8_t>* payload) {
+  if (pos_ + sizeof(uint32_t) > block_.size()) {
+    return Status::Internal("entry header overruns block");
+  }
+  uint32_t entry_bytes = 0;
+  std::memcpy(&entry_bytes, block_.data() + pos_, sizeof(entry_bytes));
+  pos_ += sizeof(uint32_t);
+  if (entry_bytes < sizeof(int64_t) || pos_ + entry_bytes > block_.size()) {
+    return Status::Internal("entry overruns block");
+  }
+  std::memcpy(key, block_.data() + pos_, sizeof(int64_t));
+  const uint8_t* entry = block_.data() + pos_;
+  payload->assign(entry + sizeof(int64_t), entry + entry_bytes);
+  pos_ += entry_bytes;
+  return Status::OK();
+}
 
 uint32_t Crc32(uint32_t crc, const void* data, size_t size) {
   static const auto table = [] {
@@ -103,67 +194,34 @@ Status RunWriter::WriteRaw(const void* data, size_t size) {
 Status RunWriter::Append(int64_t key, const void* payload, size_t size) {
   if (!status_.ok()) return status_;
   if (finished_) return Status::FailedPrecondition("writer finished");
-  if (have_key_ && key < max_key_) {
-    return status_ = Status::InvalidArgument(
-               "run entries must be appended in key order");
-  }
-  if (!have_key_) {
-    min_key_ = key;
-    have_key_ = true;
-  }
-  max_key_ = key;
-  if (block_entries_ == 0) block_min_key_ = key;
-  block_max_key_ = key;
-
-  const uint32_t entry_bytes = static_cast<uint32_t>(size + sizeof(int64_t));
-  const size_t old = block_.size();
-  block_.resize(old + sizeof(uint32_t) + entry_bytes);
-  std::memcpy(block_.data() + old, &entry_bytes, sizeof(entry_bytes));
-  std::memcpy(block_.data() + old + sizeof(uint32_t), &key, sizeof(key));
-  std::memcpy(block_.data() + old + sizeof(uint32_t) + sizeof(key), payload,
-              size);
-  ++block_entries_;
-  ++num_entries_;
-  if (block_.size() >= options_.block_bytes) {
+  ASTREAM_RETURN_IF_ERROR(status_ = builder_.Append(key, payload, size));
+  if (builder_.block().size() >= options_.block_bytes) {
     return status_ = FlushBlock();
   }
   return Status::OK();
 }
 
 Status RunWriter::FlushBlock() {
-  if (block_.empty()) return Status::OK();
+  const std::vector<uint8_t>& block = builder_.block();
+  if (block.empty()) return Status::OK();
   ASTREAM_RETURN_IF_ERROR(CheckStorageFault());
   BlockIndex bi;
   bi.offset = file_offset_;
-  bi.entries = block_entries_;
-  bi.min_key = block_min_key_;
-  bi.max_key = block_max_key_;
-  const uint32_t raw_bytes = static_cast<uint32_t>(block_.size());
+  bi.entries = builder_.block_entries();
+  bi.min_key = builder_.block_min_key();
+  bi.max_key = builder_.block_max_key();
+  const uint32_t raw_bytes = static_cast<uint32_t>(block.size());
   raw_bytes_ += raw_bytes;
   if (options_.format_version == kRunFormatVersionV1) {
     ASTREAM_RETURN_IF_ERROR(WriteRaw(&raw_bytes, sizeof(raw_bytes)));
-    ASTREAM_RETURN_IF_ERROR(WriteRaw(block_.data(), block_.size()));
+    ASTREAM_RETURN_IF_ERROR(WriteRaw(block.data(), block.size()));
   } else {
-    const uint8_t* payload = block_.data();
-    uint32_t stored_bytes = raw_bytes;
-    if (options_.compress) {
-      scratch_.resize(LzMaxCompressedSize(block_.size()));
-      const size_t packed =
-          LzCompress(block_.data(), block_.size(), scratch_.data());
-      // Keep the compressed form only when it actually shrinks; an
-      // incompressible block is stored raw (stored == raw flags it).
-      if (packed < block_.size()) {
-        payload = scratch_.data();
-        stored_bytes = static_cast<uint32_t>(packed);
-      }
-    }
-    ASTREAM_RETURN_IF_ERROR(WriteRaw(&stored_bytes, sizeof(stored_bytes)));
-    ASTREAM_RETURN_IF_ERROR(WriteRaw(&raw_bytes, sizeof(raw_bytes)));
-    ASTREAM_RETURN_IF_ERROR(WriteRaw(payload, stored_bytes));
+    const BlockFrame frame = EncodeBlock(block, options_.compress, &scratch_);
+    ASTREAM_RETURN_IF_ERROR(WriteRaw(frame.header, sizeof(frame.header)));
+    ASTREAM_RETURN_IF_ERROR(WriteRaw(frame.payload, frame.stored_bytes()));
   }
   index_.push_back(bi);
-  block_.clear();
-  block_entries_ = 0;
+  builder_.ClearBlock();
   return Status::OK();
 }
 
@@ -175,7 +233,7 @@ Result<RunInfo> RunWriter::Finish() {
 
   const uint64_t footer_offset = file_offset_;
   spe::StateWriter footer;
-  footer.WriteU64(num_entries_);
+  footer.WriteU64(builder_.num_entries());
   footer.WriteU64(index_.size());
   for (const BlockIndex& bi : index_) {
     footer.WriteU64(bi.offset);
@@ -217,9 +275,9 @@ Result<RunInfo> RunWriter::Finish() {
   info.path = final_path_;
   info.file_bytes = file_offset_;
   info.raw_bytes = raw_bytes_;
-  info.num_entries = num_entries_;
-  info.min_key = min_key_;
-  info.max_key = max_key_;
+  info.num_entries = builder_.num_entries();
+  info.min_key = builder_.min_key();
+  info.max_key = builder_.max_key();
   return info;
 }
 
@@ -343,83 +401,50 @@ bool RunReader::LoadNextBlock() {
   const BlockIndex& bi = blocks_[next_block_++];
   std::fseek(file_, static_cast<long>(bi.offset), SEEK_SET);
 
+  uint32_t stored_bytes = 0;
+  uint32_t raw_bytes = 0;
+  size_t header_bytes = 0;
   if (format_version_ == kRunFormatVersionV1) {
-    uint32_t block_bytes = 0;
-    if (std::fread(&block_bytes, 1, sizeof(block_bytes), file_) !=
-        sizeof(block_bytes)) {
+    header_bytes = sizeof(uint32_t);
+    if (std::fread(&raw_bytes, 1, header_bytes, file_) != header_bytes) {
       status_ = Status::Internal("cannot read block header");
       return false;
     }
-    if (bi.offset + sizeof(uint32_t) + block_bytes > footer_offset_) {
+    stored_bytes = raw_bytes;
+  } else {
+    uint32_t hdr[2];  // [stored_bytes][raw_bytes]
+    header_bytes = sizeof(hdr);
+    if (std::fread(hdr, 1, header_bytes, file_) != header_bytes) {
+      status_ = Status::Internal("cannot read block header");
+      return false;
+    }
+    stored_bytes = hdr[0];
+    raw_bytes = hdr[1];
+    if (!BlockDecoder::CheckHeader(stored_bytes, raw_bytes).ok()) {
       status_ = Status::Internal("block overruns footer");
       return false;
     }
-    block_.resize(block_bytes);
-    if (std::fread(block_.data(), 1, block_bytes, file_) != block_bytes) {
-      status_ = Status::Internal("short block read");
-      return false;
-    }
-    block_pos_ = 0;
-    return true;
   }
-
-  uint32_t hdr[2];  // [stored_bytes][raw_bytes]
-  if (std::fread(hdr, 1, sizeof(hdr), file_) != sizeof(hdr)) {
-    status_ = Status::Internal("cannot read block header");
-    return false;
-  }
-  const uint32_t stored_bytes = hdr[0];
-  const uint32_t raw_bytes = hdr[1];
-  if (bi.offset + sizeof(hdr) + stored_bytes > footer_offset_ ||
-      stored_bytes > raw_bytes || raw_bytes > kMaxRawBlockBytes) {
+  if (bi.offset + header_bytes + stored_bytes > footer_offset_) {
     status_ = Status::Internal("block overruns footer");
     return false;
   }
-  if (stored_bytes == raw_bytes) {
-    block_.resize(raw_bytes);
-    if (std::fread(block_.data(), 1, raw_bytes, file_) != raw_bytes) {
-      status_ = Status::Internal("short block read");
-      return false;
-    }
-  } else {
-    scratch_.resize(stored_bytes);
-    if (std::fread(scratch_.data(), 1, stored_bytes, file_) != stored_bytes) {
-      status_ = Status::Internal("short block read");
-      return false;
-    }
-    block_.resize(raw_bytes);
-    if (!LzDecompress(scratch_.data(), stored_bytes, block_.data(),
-                      raw_bytes)) {
-      status_ = Status::Internal("compressed block corrupt");
-      return false;
-    }
+  uint8_t* payload = block_.PayloadBuffer(stored_bytes, raw_bytes);
+  if (std::fread(payload, 1, stored_bytes, file_) != stored_bytes) {
+    status_ = Status::Internal("short block read");
+    return false;
   }
-  block_pos_ = 0;
-  return true;
+  status_ = block_.Decode(stored_bytes, raw_bytes);
+  return status_.ok();
 }
 
 bool RunReader::Next(int64_t* key, std::vector<uint8_t>* payload) {
   if (!status_.ok()) return false;
-  while (block_pos_ >= block_.size()) {
+  while (block_.AtEnd()) {
     if (!LoadNextBlock()) return false;
   }
-  if (block_pos_ + sizeof(uint32_t) > block_.size()) {
-    status_ = Status::Internal("entry header overruns block");
-    return false;
-  }
-  uint32_t entry_bytes = 0;
-  std::memcpy(&entry_bytes, block_.data() + block_pos_, sizeof(entry_bytes));
-  block_pos_ += sizeof(uint32_t);
-  if (entry_bytes < sizeof(int64_t) ||
-      block_pos_ + entry_bytes > block_.size()) {
-    status_ = Status::Internal("entry overruns block");
-    return false;
-  }
-  std::memcpy(key, block_.data() + block_pos_, sizeof(int64_t));
-  payload->assign(block_.begin() + block_pos_ + sizeof(int64_t),
-                  block_.begin() + block_pos_ + entry_bytes);
-  block_pos_ += entry_bytes;
-  return true;
+  status_ = block_.Next(key, payload);
+  return status_.ok();
 }
 
 }  // namespace astream::storage

@@ -22,16 +22,100 @@ inline constexpr uint32_t kRunFormatVersionV1 = 1;
 /// running value (start from 0); feed chunks in file order.
 uint32_t Crc32(uint32_t crc, const void* data, size_t size);
 
-/// Immutable run file: the one on-disk format shared by slice-store
-/// spills, changelog-table spills, durable checkpoints, and compacted
-/// runs.
+/// kStorageWrite hook shared by every block flush and finish of run files
+/// and spill extents. kFail surfaces as an error Status (the caller keeps
+/// its resident state); kThrow crashes the writing task mid-run.
+Status CheckStorageFault();
+
+/// One block of a run's entry stream as a writer fills it:
+///   [u32 entry_bytes][i64 key][payload (entry_bytes-8)]*
+/// plus the run-wide key order check and key range. Shared by run files
+/// and spill extents, so both frame entries identically.
+class BlockBuilder {
+ public:
+  /// Appends one entry. Keys must be non-decreasing across the whole run
+  /// (merge iterators and the per-block index rely on it).
+  Status Append(int64_t key, const void* payload, size_t size);
+
+  /// The block filled so far and its entry count and key range.
+  const std::vector<uint8_t>& block() const { return block_; }
+  uint64_t block_entries() const { return block_entries_; }
+  int64_t block_min_key() const { return block_min_key_; }
+  int64_t block_max_key() const { return block_max_key_; }
+  /// Starts the next block; the run totals carry on.
+  void ClearBlock() {
+    block_.clear();
+    block_entries_ = 0;
+  }
+
+  uint64_t num_entries() const { return num_entries_; }
+  int64_t min_key() const { return min_key_; }
+  int64_t max_key() const { return max_key_; }
+
+ private:
+  std::vector<uint8_t> block_;
+  uint64_t block_entries_ = 0;
+  int64_t block_min_key_ = 0;
+  int64_t block_max_key_ = 0;
+  uint64_t num_entries_ = 0;
+  int64_t min_key_ = 0;
+  int64_t max_key_ = 0;
+  bool have_key_ = false;
+};
+
+/// A v2 block frame `[u32 stored_bytes][u32 raw_bytes][payload]`.
+/// stored == raw: the payload is the raw entry stream; stored < raw: the
+/// stream LZ-compressed (common/lz.h). Incompressible blocks are stored
+/// raw, so stored_bytes never exceeds raw_bytes.
+struct BlockFrame {
+  static constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);
+  uint32_t header[2] = {0, 0};  // {stored_bytes, raw_bytes}
+  const uint8_t* payload = nullptr;
+
+  uint32_t stored_bytes() const { return header[0]; }
+  uint32_t raw_bytes() const { return header[1]; }
+};
+
+/// Frames `block`: its payload points into `block` itself, or into
+/// `scratch` when compression shrank it.
+BlockFrame EncodeBlock(const std::vector<uint8_t>& block, bool compress,
+                       std::vector<uint8_t>* scratch);
+
+/// Read side of the block codec, shared by RunReader and spill scans:
+/// holds one raw block and parses its entries with bounds checks.
+class BlockDecoder {
+ public:
+  /// Rejects a frame header no writer produces (stored > raw, or a raw
+  /// size past the sanity cap) before anything is allocated for it.
+  static Status CheckHeader(uint32_t stored_bytes, uint32_t raw_bytes);
+
+  /// Where a frame's `stored_bytes` of payload go: the block itself when
+  /// the frame is raw, else a compressed scratch buffer. Call Decode once
+  /// the bytes are in.
+  uint8_t* PayloadBuffer(uint32_t stored_bytes, uint32_t raw_bytes);
+  /// Turns the payload read into PayloadBuffer into the current block.
+  Status Decode(uint32_t stored_bytes, uint32_t raw_bytes);
+
+  /// True once every entry of the current block was returned.
+  bool AtEnd() const { return pos_ >= block_.size(); }
+  /// Next entry of the current block; an error when it overruns.
+  Status Next(int64_t* key, std::vector<uint8_t>* payload);
+
+ private:
+  std::vector<uint8_t> block_;
+  std::vector<uint8_t> scratch_;  // compressed bytes before decompression
+  size_t pos_ = 0;
+};
+
+/// Immutable run file: the on-disk format of durable checkpoints and
+/// shard-drain images. Spilled runs do not use it: they live as block
+/// extents of one segment file per engine (spill_space.h), framed with the
+/// same block codec but with no header, footer, CRC or rename, because
+/// they never outlive the process that wrote them.
 ///
 ///   [u32 magic "ASRN"][u32 version]
 ///   v1 block*: [u32 block_bytes][entries...]
-///   v2 block*: [u32 stored_bytes][u32 raw_bytes][payload stored_bytes]
-///     stored == raw: payload is the raw entry stream; stored < raw: the
-///     entry stream LZ-compressed (common/lz.h). Incompressible blocks
-///     are stored raw, so stored_bytes never exceeds raw_bytes.
+///   v2 block*: BlockFrame [u32 stored_bytes][u32 raw_bytes][payload]
 ///     entry stream: [u32 entry_bytes][i64 key][payload (entry_bytes-8)]*
 ///   footer (StateWriter-encoded): num_entries, num_blocks,
 ///     per block {file_offset, num_entries, min_key, max_key},
@@ -58,11 +142,9 @@ class RunWriter {
  public:
   struct Options {
     size_t block_bytes = 64 * 1024;
-    /// fsync before the atomic rename (durable checkpoints). Spill runs
-    /// skip it: they never outlive the process that wrote them.
+    /// fsync before the atomic rename (durable checkpoints).
     bool sync = false;
-    /// LZ-compress blocks (v2 only). Off = v2 layout with raw blocks —
-    /// the format-sweep baseline leg of bench/micro_spill.
+    /// LZ-compress blocks (v2 only). Off = v2 layout with raw blocks.
     bool compress = true;
     /// Written format. kRunFormatVersionV1 reproduces PR 5 files byte for
     /// byte (backward-compat tests and mixed-version drains).
@@ -93,7 +175,7 @@ class RunWriter {
   /// Deletes the temp file (automatic on destruction if never finished).
   void Abort();
 
-  uint64_t num_entries() const { return num_entries_; }
+  uint64_t num_entries() const { return builder_.num_entries(); }
 
  private:
   Status FlushBlock();
@@ -106,11 +188,8 @@ class RunWriter {
   bool finished_ = false;
   Status status_;
 
-  std::vector<uint8_t> block_;
+  BlockBuilder builder_;
   std::vector<uint8_t> scratch_;  // compression output, reused per block
-  uint64_t block_entries_ = 0;
-  int64_t block_min_key_ = 0;
-  int64_t block_max_key_ = 0;
 
   struct BlockIndex {
     uint64_t offset = 0;
@@ -122,11 +201,7 @@ class RunWriter {
   std::vector<uint8_t> meta_;
   uint64_t file_offset_ = 0;
   uint32_t crc_ = 0;
-  uint64_t num_entries_ = 0;
   uint64_t raw_bytes_ = 0;
-  int64_t min_key_ = 0;
-  int64_t max_key_ = 0;
-  bool have_key_ = false;
 };
 
 /// Sequential, block-buffered reader over one run (format v1 or v2).
@@ -175,9 +250,7 @@ class RunReader {
   };
   std::vector<BlockIndex> blocks_;
   size_t next_block_ = 0;
-  std::vector<uint8_t> block_;
-  std::vector<uint8_t> scratch_;  // compressed bytes before decompression
-  size_t block_pos_ = 0;
+  BlockDecoder block_;
 };
 
 }  // namespace astream::storage

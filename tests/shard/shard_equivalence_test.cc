@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -179,6 +180,8 @@ struct RunPlan {
   int move_at = -1;
   std::vector<int> kill_at;  // step indices; kills target kill_shard
   int kill_shard = 1;
+  // Called before every step with the step index.
+  std::function<void(int, astream::Client*)> observe;
 };
 
 struct RunOutcome {
@@ -213,6 +216,7 @@ RunOutcome RunClient(const Script& script, JobConfig config,
     const Script::Step& step = script.steps[i];
     clock->SetMs(step.time);
     const int idx = static_cast<int>(i);
+    if (plan.observe) plan.observe(idx, client.get());
     for (int kill : plan.kill_at) {
       if (kill == idx) {
         EXPECT_TRUE(client->router()
@@ -339,10 +343,31 @@ TEST(ShardEquivalenceTest, BudgetedShardsShareOneSpillDir) {
   config.job.storage.memory_budget_bytes = 2 << 10;
   const std::string dir = FreshDir("astream_shard_spill_test");
   config.job.storage.spill_dir = dir;
-  const RunOutcome run = RunClient(script, std::move(config));
+  // While runs are live, each engine's private directory holds its one
+  // segment file and nothing else: no file per spilled run.
+  int observed_live = 0;
+  RunPlan plan;
+  plan.observe = [&](int, astream::Client* client) {
+    int engines = 0;
+    for (const auto& engine : std::filesystem::directory_iterator(dir)) {
+      ++engines;
+      std::vector<std::string> files;
+      for (const auto& f : std::filesystem::directory_iterator(engine)) {
+        files.push_back(f.path().filename().string());
+      }
+      EXPECT_EQ(files, std::vector<std::string>{"segment"})
+          << engine.path();
+    }
+    EXPECT_EQ(engines, 2);
+    const auto gauges = client->MetricsSnapshot().gauges;
+    const auto runs = gauges.find("storage.runs");
+    if (runs != gauges.end() && runs->second > 0) ++observed_live;
+  };
+  const RunOutcome run = RunClient(script, std::move(config), plan);
 
   EXPECT_TRUE(run.health.ok()) << run.health.ToString();
   EXPECT_GT(run.spills, 0);
+  EXPECT_GT(observed_live, 0);
   EXPECT_EQ(reference, run.outputs);
   // The private subdirectories went with their engines.
   EXPECT_TRUE(std::filesystem::is_empty(dir));

@@ -21,9 +21,8 @@ bool operator==(const Entry& a, const Entry& b) {
   return a.key == b.key && a.payload == b.payload;
 }
 
-SpilledRunPtr WriteRun(SpillSpace* space, const std::vector<Entry>& entries,
-                       RunWriter::Options options = {}) {
-  RunWriter writer(space->NextRunPath("slice"), options);
+SpilledRunPtr WriteRun(SpillSpace* space, const std::vector<Entry>& entries) {
+  SpillWriter writer(space);
   for (const Entry& e : entries) {
     EXPECT_TRUE(writer
                     .Append(e.key,
@@ -31,22 +30,20 @@ SpilledRunPtr WriteRun(SpillSpace* space, const std::vector<Entry>& entries,
                             e.payload.size())
                     .ok());
   }
-  auto info = writer.Finish();
-  EXPECT_TRUE(info.ok()) << info.status().message();
-  return space->Adopt(std::move(info).value(), 0);
+  auto run = writer.Finish();
+  EXPECT_TRUE(run.ok()) << run.status().message();
+  return run.ok() ? std::move(run).value() : nullptr;
 }
 
 std::vector<Entry> ReadAll(const SpilledRunPtr& run) {
   std::vector<Entry> out;
-  auto reader = run->OpenReader();
-  EXPECT_TRUE(reader.ok()) << reader.status().message();
-  if (!reader.ok()) return out;
+  SpillReader reader(run);
   int64_t key = 0;
   std::vector<uint8_t> payload;
-  while (reader.value()->Next(&key, &payload)) {
+  // A failed read throws SpillReadError, which fails the test.
+  while (reader.Next(&key, &payload)) {
     out.push_back(Entry{key, std::string(payload.begin(), payload.end())});
   }
-  EXPECT_TRUE(reader.value()->status().ok());
   return out;
 }
 
@@ -97,7 +94,7 @@ TEST(CompactorTest, SyncFoldPreservesKeyAndTieOrder) {
   Compactor::Options opts;
   opts.sync = true;
   Compactor compactor(space.value().get(), opts);
-  CompactionTicketPtr ticket = compactor.Submit(runs, "slice");
+  CompactionTicketPtr ticket = compactor.Submit(runs);
   ASSERT_EQ(ticket->state(), CompactionTicket::State::kDone);
   ASSERT_NE(ticket->output(), nullptr);
 
@@ -126,14 +123,16 @@ TEST(CompactorTest, CompressedOutputRoundTrips) {
   std::vector<SpilledRunPtr> runs;
   for (const auto& in : inputs) runs.push_back(WriteRun(space.value().get(), in));
 
+  SpillSpace::WriterOptions wo;
+  wo.compress = true;
+  space.value()->SetWriterOptions(wo);
   Compactor::Options opts;
   opts.sync = true;
-  opts.writer.compress = true;
   Compactor compactor(space.value().get(), opts);
-  CompactionTicketPtr ticket = compactor.Submit(runs, "slice");
+  CompactionTicketPtr ticket = compactor.Submit(runs);
   ASSERT_EQ(ticket->state(), CompactionTicket::State::kDone);
-  const RunInfo& info = ticket->output()->info();
-  EXPECT_LT(info.file_bytes, static_cast<int64_t>(info.raw_bytes));
+  const SpilledRun& out = *ticket->output();
+  EXPECT_LT(out.bytes(), out.raw_bytes());
   EXPECT_EQ(ReadAll(ticket->output()).size(), 600u);
 }
 
@@ -146,7 +145,7 @@ TEST(CompactorTest, WorkerModeSettlesTicketOffThread) {
 
   Compactor compactor(space.value().get(), Compactor::Options{});
   compactor.Start();
-  CompactionTicketPtr ticket = compactor.Submit(runs, "slice");
+  CompactionTicketPtr ticket = compactor.Submit(runs);
   // Stop() drains the queue before joining, so the ticket must be settled
   // afterwards — the lifecycle the job teardown relies on.
   compactor.Stop();
@@ -172,7 +171,7 @@ TEST(CompactorTest, InjectedFailureKeepsInputsReadable) {
   Compactor::Options opts;
   opts.sync = true;
   Compactor compactor(space.value().get(), opts);
-  CompactionTicketPtr ticket = compactor.Submit(runs, "slice");
+  CompactionTicketPtr ticket = compactor.Submit(runs);
   EXPECT_EQ(ticket->state(), CompactionTicket::State::kFailed);
   EXPECT_EQ(compactor.jobs_failed(), 1);
   EXPECT_EQ(space.value()->num_runs(), runs_before);  // nothing adopted
@@ -199,7 +198,7 @@ TEST(CompactorTest, InjectedCrashMidCompactionKeepsInputsReadable) {
   Compactor::Options opts;
   opts.sync = true;
   Compactor compactor(space.value().get(), opts);
-  CompactionTicketPtr ticket = compactor.Submit(runs, "slice");
+  CompactionTicketPtr ticket = compactor.Submit(runs);
   EXPECT_EQ(ticket->state(), CompactionTicket::State::kFailed);
   for (size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(ReadAll(runs[i]).size(), inputs[i].size());
@@ -212,7 +211,7 @@ TEST(CompactorTest, FewerThanTwoInputsFailsImmediately) {
   Compactor::Options opts;
   opts.sync = true;
   Compactor compactor(space.value().get(), opts);
-  CompactionTicketPtr ticket = compactor.Submit({}, "slice");
+  CompactionTicketPtr ticket = compactor.Submit({});
   EXPECT_EQ(ticket->state(), CompactionTicket::State::kFailed);
 }
 
