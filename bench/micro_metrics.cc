@@ -53,6 +53,9 @@ void RunSelection(benchmark::State& state, Wiring wiring) {
   SharedSelection::Config cfg;
   if (wiring != Wiring::kNoRegistry) cfg.metrics = &registry;
   SharedSelection sel(cfg);
+  spe::OperatorContext ctx;
+  ctx.stage_name = "shared-selection-a";  // counters: selection.a.*
+  if (!sel.Open(ctx).ok()) state.SkipWithError("open failed");
   NullCollector out;
   sel.OnMarker(MakeWorkload(num_queries, 7), &out);
 

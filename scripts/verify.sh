@@ -43,9 +43,10 @@ echo "== shard: routing, fan-out, N-shard equivalence, client facade =="
   --gtest_filter='SpscQueueTest.*:ShardPlanTest.*:ShardRouterTest.*:JobConfigTest.*:ClientTest.*:ShardEquivalenceTest.*:Shards/ShardCountEquivalenceTest.*'
 
 echo "== shard: kill-one-shard chaos (exactly-once across shard crashes) =="
-# A supervised shard killed mid-run (including mid-resharding) must
-# recover from its durable checkpoint + source-log replay and the merged
-# deployment output must still match the fault-free reference.
+# A supervised shard killed mid-run (including mid-resharding, and on a
+# three-stream multiway deployment) must recover from its durable
+# checkpoint + source-log replay and the merged deployment output must
+# still match the fault-free reference.
 ./build/tests/astream_tests --gtest_filter='Seeds/ShardKillChaosTest.*'
 
 echo "== micro_shard: smoke (N-shard output-hash equivalence + live split) =="

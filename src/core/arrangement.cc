@@ -195,10 +195,10 @@ std::shared_ptr<const AggArrangement::Composed> AggArrangement::Block(
   if (cache) {
     auto it = memo_.find(BlockKey{level, base});
     if (it != memo_.end()) {
-      ++memo_hits_;
+      memo_hits_.Add(1);
       return it->second;
     }
-    ++memo_misses_;
+    memo_misses_.Add(1);
   }
   auto out = std::make_shared<Composed>();
   if (level == 0) {
@@ -221,7 +221,7 @@ std::shared_ptr<const AggArrangement::Composed> AggArrangement::Block(
     MergeMasked(out.get(), *left, bridge);
   }
   if (cache) {
-    memo_bytes_ += EstimateBytes(*out);
+    memo_bytes_.Add(static_cast<int64_t>(EstimateBytes(*out)));
     memo_.emplace(BlockKey{level, base}, out);
   }
   return out;
@@ -275,7 +275,9 @@ void AggArrangement::EvictThrough(int64_t max_version) {
   auto mit = memo_.begin();
   while (mit != memo_.end()) {
     if (mit->first.second <= max_version) {
-      memo_bytes_ -= std::min(memo_bytes_, EstimateBytes(*mit->second));
+      memo_bytes_.Add(-std::min(
+          memo_bytes_.Get(),
+          static_cast<int64_t>(EstimateBytes(*mit->second))));
       mit = memo_.erase(mit);
     } else {
       ++mit;
@@ -284,9 +286,9 @@ void AggArrangement::EvictThrough(int64_t max_version) {
 }
 
 size_t AggArrangement::ReleaseMemo() {
-  const size_t released = memo_bytes_;
+  const auto released = static_cast<size_t>(memo_bytes_.Get());
   memo_.clear();
-  memo_bytes_ = 0;
+  memo_bytes_.Set(0);
   return released;
 }
 
@@ -329,7 +331,7 @@ void AggArrangement::AddBytes(int64_t* arena_bytes, size_t* resident_bytes,
       *coldest_resident = version;
     }
   }
-  *resident_bytes += memo_bytes_;
+  *resident_bytes += memo_bytes();
 }
 
 void AggArrangement::Serialize(spe::StateWriter* writer) const {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/owned_counter.h"
 #include "core/cl_table.h"
 #include "core/slice_store.h"
 #include "core/window_math.h"
@@ -197,9 +198,10 @@ class AggArrangement {
                 int64_t* coldest_resident) const;
 
   size_t NumVersions() const { return stores_.size(); }
-  int64_t memo_hits() const { return memo_hits_; }
-  int64_t memo_misses() const { return memo_misses_; }
-  size_t memo_bytes() const { return memo_bytes_; }
+  /// Any thread may read the memo counters while the task thread runs.
+  int64_t memo_hits() const { return memo_hits_.Get(); }
+  int64_t memo_misses() const { return memo_misses_.Get(); }
+  size_t memo_bytes() const { return static_cast<size_t>(memo_bytes_.Get()); }
   size_t memo_blocks() const { return memo_.size(); }
 
   /// Checkpointing: stores only (same wire format as the pre-arrangement
@@ -216,9 +218,9 @@ class AggArrangement {
 
   std::map<int64_t, AggStore> stores_;
   std::map<BlockKey, std::shared_ptr<const Composed>> memo_;
-  int64_t memo_hits_ = 0;
-  int64_t memo_misses_ = 0;
-  size_t memo_bytes_ = 0;
+  OwnedCounter memo_hits_;
+  OwnedCounter memo_misses_;
+  OwnedCounter memo_bytes_;
   storage::SpillSpace* spill_ = nullptr;
   storage::Compactor* compactor_ = nullptr;
   bool access_aware_ = false;

@@ -82,24 +82,35 @@ spe::TopologySpec AStreamJob::BuildTopology() {
   spe::TopologySpec spec;
   const int par = options_.parallelism;
   const bool overhead = options_.measure_overhead;
+  const TopologyKind topology = options_.topology;
+  const bool multiway = topology == TopologyKind::kMultiway;
+  // Every topology windows one query kind (the rest are selections) over
+  // a fixed number of external streams.
+  QueryKind windowed = QueryKind::kAggregation;
+  int streams = 1;
+  switch (topology) {
+    case TopologyKind::kAggregation:
+      break;
+    case TopologyKind::kJoin:
+      windowed = QueryKind::kJoin;
+      streams = 2;
+      break;
+    case TopologyKind::kComplex:
+      windowed = QueryKind::kComplex;
+      streams = 2;
+      break;
+    case TopologyKind::kMultiway:
+      windowed = QueryKind::kMultiJoin;
+      streams = options_.num_streams;
+      break;
+  }
 
-  auto selection_factory = [this, overhead](StreamSide side) {
-    return [this, side, overhead](int) -> std::unique_ptr<spe::Operator> {
-      SharedSelection::Config cfg;
-      cfg.side = side;
-      cfg.measure_overhead = overhead;
-      cfg.use_predicate_index = options_.use_predicate_index;
-      cfg.metrics = &metrics_;
-      cfg.meter_costs = options_.meter_costs;
-      auto op = std::make_unique<SharedSelection>(cfg);
-      {
-        std::lock_guard<std::mutex> lock(ops_mutex_);
-        selections_.push_back(op.get());
-      }
-      return op;
-    };
+  // Registers an operator for CollectStats before the runner takes it.
+  auto track = [this](auto* ops, auto op) {
+    std::lock_guard<std::mutex> lock(ops_mutex_);
+    ops->push_back(op.get());
+    return op;
   };
-
   auto shared_config = [this](std::function<bool(const ActiveQuery&)> hosts) {
     SharedOperatorConfig cfg;
     cfg.hosts = std::move(hosts);
@@ -115,349 +126,133 @@ spe::TopologySpec AStreamJob::BuildTopology() {
     cfg.share_arrangements = options_.share_arrangements;
     return cfg;
   };
+  auto hosts_windowed = [windowed](const ActiveQuery& q) {
+    return q.desc.kind == windowed;
+  };
 
-  switch (options_.topology) {
-    case TopologyKind::kAggregation: {
-      spe::StageSpec sel;
-      sel.name = "shared-selection-a";
-      sel.parallelism = par;
-      sel.factory = selection_factory(StreamSide::kA);
-      const int s_sel = spec.AddStage(std::move(sel));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel, 0, spe::Partitioning::kHash});
+  // One shared selection per external stream, in stream order. Two-stream
+  // topologies name them by letter (stream-a, shared-selection-b),
+  // multiway ones by number (stream-2, shared-selection-s2).
+  std::vector<int> sel_stages;
+  for (int s = 0; s < streams; ++s) {
+    const std::string number = std::to_string(s);
+    const std::string letter(1, static_cast<char>('a' + s));
+    spe::StageSpec sel;
+    sel.name = "shared-selection-" + (multiway ? "s" + number : letter);
+    sel.parallelism = par;
+    sel.factory = [this, track, overhead,
+                   s](int) -> std::unique_ptr<spe::Operator> {
+      SharedSelection::Config cfg;
+      cfg.stream = s;
+      cfg.measure_overhead = overhead;
+      cfg.use_predicate_index = options_.use_predicate_index;
+      cfg.metrics = &metrics_;
+      cfg.meter_costs = options_.meter_costs;
+      return track(&selections_, std::make_unique<SharedSelection>(cfg));
+    };
+    sel_stages.push_back(spec.AddStage(std::move(sel)));
+    spec.AddExternalInput({"stream-" + (multiway ? number : letter),
+                           sel_stages.back(), 0, spe::Partitioning::kHash});
+  }
 
-      spe::StageSpec agg;
-      agg.name = "shared-aggregation";
-      agg.parallelism = par;
-      agg.factory = [this](int) -> std::unique_ptr<spe::Operator> {
-        SharedAggregation::AggConfig cfg;
-        cfg.shared.hosts = [](const ActiveQuery& q) {
-          return q.desc.kind == QueryKind::kAggregation;
-        };
-        cfg.shared.initial_mode = options_.initial_mode;
-        cfg.shared.adaptive_mode = options_.adaptive_mode;
-        cfg.shared.metrics = &metrics_;
-        cfg.shared.meter_costs = options_.meter_costs;
-        cfg.shared.governor = governor_.get();
-        cfg.shared.spill_space = spill_space_.get();
-        cfg.shared.compactor = compactor_.get();
-        cfg.shared.access_aware_eviction =
-            governor_ != nullptr && options_.storage.access_aware_eviction;
-        cfg.shared.share_arrangements = options_.share_arrangements;
-        cfg.num_ports = 1;
-        auto op = std::make_unique<SharedAggregation>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          aggregations_.push_back(op.get());
-        }
-        return op;
-      };
-      agg.inputs = {{s_sel, 0, spe::Partitioning::kHash}};
-      const int s_agg = spec.AddStage(std::move(agg));
-
-      spe::StageSpec router;
-      router.name = "router";
-      router.parallelism = par;
-      router.num_ports = 2;
-      router.is_sink = true;
-      router.factory = [this, overhead](int) -> std::unique_ptr<spe::Operator> {
-        RouterOperator::Config cfg;
-        cfg.num_ports = 2;
-        cfg.measure_overhead = overhead;
-        cfg.metrics = &metrics_;
-        cfg.trace = &trace_;
-        cfg.clock = clock_;
-        cfg.routes_raw = [](const ActiveQuery& q, int port) {
-          return port == 0 && q.desc.kind == QueryKind::kSelection;
-        };
-        auto op = std::make_unique<RouterOperator>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          routers_.push_back(op.get());
-        }
-        return op;
-      };
-      router.inputs = {{s_sel, 0, spe::Partitioning::kHash},
-                       {s_agg, 1, spe::Partitioning::kHash}};
-      stage_router_ = spec.AddStage(std::move(router));
-      break;
+  // The windowed stage, whose output is the router's port 1.
+  int s_windowed = -1;
+  if (topology == TopologyKind::kJoin || multiway) {
+    spe::StageSpec join;
+    join.name = multiway ? "shared-multiway-join" : "shared-join";
+    join.parallelism = par;
+    join.num_ports = streams;
+    join.factory = [this, track, shared_config, hosts_windowed, multiway,
+                    streams](int) -> std::unique_ptr<spe::Operator> {
+      if (multiway) {
+        return track(&mjoins_, std::make_unique<SharedMultiwayJoin>(
+                                   shared_config(hosts_windowed), streams));
+      }
+      return track(&joins_,
+                   std::make_unique<SharedJoin>(shared_config(hosts_windowed)));
+    };
+    for (int s = 0; s < streams; ++s) {
+      join.inputs.push_back({sel_stages[s], s, spe::Partitioning::kHash});
     }
-    case TopologyKind::kJoin: {
-      spe::StageSpec sel_a;
-      sel_a.name = "shared-selection-a";
-      sel_a.parallelism = par;
-      sel_a.factory = selection_factory(StreamSide::kA);
-      const int s_sel_a = spec.AddStage(std::move(sel_a));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash});
-
-      spe::StageSpec sel_b;
-      sel_b.name = "shared-selection-b";
-      sel_b.parallelism = par;
-      sel_b.factory = selection_factory(StreamSide::kB);
-      const int s_sel_b = spec.AddStage(std::move(sel_b));
-      input_b_ = spec.AddExternalInput(
-          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash});
-
-      spe::StageSpec join;
-      join.name = "shared-join";
-      join.parallelism = par;
-      join.num_ports = 2;
-      join.factory = [this, shared_config](int)
-          -> std::unique_ptr<spe::Operator> {
-        auto op = std::make_unique<SharedJoin>(
-            shared_config([](const ActiveQuery& q) {
-              return q.desc.kind == QueryKind::kJoin;
-            }));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          joins_.push_back(op.get());
-        }
-        return op;
-      };
-      join.inputs = {{s_sel_a, 0, spe::Partitioning::kHash},
-                     {s_sel_b, 1, spe::Partitioning::kHash}};
-      const int s_join = spec.AddStage(std::move(join));
-
-      spe::StageSpec router;
-      router.name = "router";
-      router.parallelism = par;
-      router.num_ports = 2;
-      router.is_sink = true;
-      router.factory = [this, overhead](int) -> std::unique_ptr<spe::Operator> {
-        RouterOperator::Config cfg;
-        cfg.num_ports = 2;
-        cfg.measure_overhead = overhead;
-        cfg.metrics = &metrics_;
-        cfg.trace = &trace_;
-        cfg.clock = clock_;
-        cfg.routes_raw = [](const ActiveQuery& q, int port) {
-          if (port == 0) return q.desc.kind == QueryKind::kSelection;
-          return q.desc.kind == QueryKind::kJoin;
-        };
-        auto op = std::make_unique<RouterOperator>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          routers_.push_back(op.get());
-        }
-        return op;
-      };
-      router.inputs = {{s_sel_a, 0, spe::Partitioning::kHash},
-                       {s_join, 1, spe::Partitioning::kHash}};
-      stage_router_ = spec.AddStage(std::move(router));
-      break;
-    }
-    case TopologyKind::kComplex: {
-      const int stages = options_.max_join_stages;
-      spe::StageSpec sel_a;
-      sel_a.name = "shared-selection-a";
-      sel_a.parallelism = par;
-      sel_a.factory = selection_factory(StreamSide::kA);
-      const int s_sel_a = spec.AddStage(std::move(sel_a));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash});
-
-      spe::StageSpec sel_b;
-      sel_b.name = "shared-selection-b";
-      sel_b.parallelism = par;
-      sel_b.factory = selection_factory(StreamSide::kB);
-      const int s_sel_b = spec.AddStage(std::move(sel_b));
-      input_b_ = spec.AddExternalInput(
-          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash});
-
-      std::vector<int> join_stages;
-      int left_input = s_sel_a;
-      for (int k = 1; k <= stages; ++k) {
+    s_windowed = spec.AddStage(std::move(join));
+  } else {
+    // An aggregation over stream 0 or, for kComplex, over each stage of a
+    // cascade of binary joins (stage k joins stage k-1 with stream 1).
+    std::vector<int> agg_inputs;
+    if (topology == TopologyKind::kComplex) {
+      int left_input = sel_stages[0];
+      for (int k = 1; k <= options_.max_join_stages; ++k) {
         spe::StageSpec join;
         join.name = "shared-join-" + std::to_string(k);
         join.parallelism = par;
         join.num_ports = 2;
-        join.factory = [this, shared_config, k](int)
-            -> std::unique_ptr<spe::Operator> {
-          auto op = std::make_unique<SharedJoin>(
-              shared_config([k](const ActiveQuery& q) {
-                return q.desc.kind == QueryKind::kComplex &&
-                       q.desc.join_depth >= k;
-              }));
-          {
-            std::lock_guard<std::mutex> lock(ops_mutex_);
-            joins_.push_back(op.get());
-          }
-          return op;
+        auto hosts = [k](const ActiveQuery& q) {
+          return q.desc.kind == QueryKind::kComplex && q.desc.join_depth >= k;
+        };
+        join.factory = [this, track, shared_config,
+                        hosts](int) -> std::unique_ptr<spe::Operator> {
+          return track(&joins_,
+                       std::make_unique<SharedJoin>(shared_config(hosts)));
         };
         join.inputs = {{left_input, 0, spe::Partitioning::kHash},
-                       {s_sel_b, 1, spe::Partitioning::kHash}};
-        const int s_join = spec.AddStage(std::move(join));
-        join_stages.push_back(s_join);
-        left_input = s_join;
+                       {sel_stages[1], 1, spe::Partitioning::kHash}};
+        left_input = spec.AddStage(std::move(join));
+        agg_inputs.push_back(left_input);
       }
-
-      spe::StageSpec agg;
-      agg.name = "shared-aggregation";
-      agg.parallelism = par;
-      agg.num_ports = stages;
-      agg.factory = [this, stages](int) -> std::unique_ptr<spe::Operator> {
-        SharedAggregation::AggConfig cfg;
-        cfg.shared.hosts = [](const ActiveQuery& q) {
-          return q.desc.kind == QueryKind::kComplex;
-        };
-        cfg.shared.initial_mode = options_.initial_mode;
-        cfg.shared.adaptive_mode = options_.adaptive_mode;
-        cfg.shared.metrics = &metrics_;
-        cfg.shared.meter_costs = options_.meter_costs;
-        cfg.shared.governor = governor_.get();
-        cfg.shared.spill_space = spill_space_.get();
-        cfg.shared.compactor = compactor_.get();
-        cfg.shared.access_aware_eviction =
-            governor_ != nullptr && options_.storage.access_aware_eviction;
-        cfg.shared.share_arrangements = options_.share_arrangements;
-        cfg.num_ports = stages;
+    } else {
+      agg_inputs.push_back(sel_stages[0]);
+    }
+    const int ports = static_cast<int>(agg_inputs.size());
+    spe::StageSpec agg;
+    agg.name = "shared-aggregation";
+    agg.parallelism = par;
+    agg.num_ports = ports;
+    agg.factory = [this, track, shared_config, hosts_windowed, topology,
+                   ports](int) -> std::unique_ptr<spe::Operator> {
+      SharedAggregation::AggConfig cfg;
+      cfg.shared = shared_config(hosts_windowed);
+      cfg.num_ports = ports;
+      if (topology == TopologyKind::kComplex) {
         cfg.port_filter = [](const ActiveQuery& q, int port) {
           return q.desc.join_depth == port + 1;
         };
-        auto op = std::make_unique<SharedAggregation>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          aggregations_.push_back(op.get());
-        }
-        return op;
-      };
-      for (int k = 0; k < stages; ++k) {
-        agg.inputs.push_back(
-            {join_stages[k], k, spe::Partitioning::kHash});
       }
-      const int s_agg = spec.AddStage(std::move(agg));
-
-      spe::StageSpec router;
-      router.name = "router";
-      router.parallelism = par;
-      router.num_ports = 2;
-      router.is_sink = true;
-      router.factory = [this, overhead](int) -> std::unique_ptr<spe::Operator> {
-        RouterOperator::Config cfg;
-        cfg.num_ports = 2;
-        cfg.measure_overhead = overhead;
-        cfg.metrics = &metrics_;
-        cfg.trace = &trace_;
-        cfg.clock = clock_;
-        cfg.routes_raw = [](const ActiveQuery& q, int port) {
-          return port == 0 && q.desc.kind == QueryKind::kSelection;
-        };
-        auto op = std::make_unique<RouterOperator>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          routers_.push_back(op.get());
-        }
-        return op;
-      };
-      router.inputs = {{s_sel_a, 0, spe::Partitioning::kHash},
-                       {s_agg, 1, spe::Partitioning::kHash}};
-      stage_router_ = spec.AddStage(std::move(router));
-      break;
+      return track(&aggregations_,
+                   std::make_unique<SharedAggregation>(std::move(cfg)));
+    };
+    for (int port = 0; port < ports; ++port) {
+      agg.inputs.push_back(
+          {agg_inputs[port], port, spe::Partitioning::kHash});
     }
-    case TopologyKind::kMultiway: {
-      // DESIGN.md §15: one shared selection per external stream, feeding
-      // the n-ary shared join on port s. Stream 0's selection doubles as
-      // the host of plain selection queries (mirroring side A elsewhere).
-      const int streams = options_.num_streams;
-      std::vector<int> sel_stages;
-      for (int s = 0; s < streams; ++s) {
-        spe::StageSpec sel;
-        sel.name = "shared-selection-s" + std::to_string(s);
-        sel.parallelism = par;
-        sel.factory = [this, overhead,
-                       s](int) -> std::unique_ptr<spe::Operator> {
-          SharedSelection::Config cfg;
-          cfg.side = StreamSide::kA;
-          cfg.stream = s;
-          cfg.hosts = [s](const ActiveQuery& q) {
-            if (q.desc.kind == QueryKind::kMultiJoin) {
-              return q.desc.UsesStream(s);
-            }
-            return s == 0 && q.desc.kind == QueryKind::kSelection;
-          };
-          cfg.measure_overhead = overhead;
-          cfg.use_predicate_index = options_.use_predicate_index;
-          cfg.metrics = &metrics_;
-          cfg.meter_costs = options_.meter_costs;
-          auto op = std::make_unique<SharedSelection>(cfg);
-          {
-            std::lock_guard<std::mutex> lock(ops_mutex_);
-            selections_.push_back(op.get());
-          }
-          return op;
-        };
-        const int s_sel = spec.AddStage(std::move(sel));
-        sel_stages.push_back(s_sel);
-        inputs_.push_back(spec.AddExternalInput(
-            {"stream-" + std::to_string(s), s_sel, 0,
-             spe::Partitioning::kHash}));
-      }
-      input_a_ = inputs_[0];
-      input_b_ = inputs_.size() > 1 ? inputs_[1] : -1;
-
-      spe::StageSpec join;
-      join.name = "shared-multiway-join";
-      join.parallelism = par;
-      join.num_ports = streams;
-      join.factory = [this, shared_config,
-                      streams](int) -> std::unique_ptr<spe::Operator> {
-        auto op = std::make_unique<SharedMultiwayJoin>(
-            shared_config([](const ActiveQuery& q) {
-              return q.desc.kind == QueryKind::kMultiJoin;
-            }),
-            streams);
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          mjoins_.push_back(op.get());
-        }
-        return op;
-      };
-      for (int s = 0; s < streams; ++s) {
-        join.inputs.push_back({sel_stages[s], s, spe::Partitioning::kHash});
-      }
-      const int s_join = spec.AddStage(std::move(join));
-
-      spe::StageSpec router;
-      router.name = "router";
-      router.parallelism = par;
-      router.num_ports = 2;
-      router.is_sink = true;
-      router.factory = [this, overhead](int) -> std::unique_ptr<spe::Operator> {
-        RouterOperator::Config cfg;
-        cfg.num_ports = 2;
-        cfg.measure_overhead = overhead;
-        cfg.metrics = &metrics_;
-        cfg.trace = &trace_;
-        cfg.clock = clock_;
-        cfg.routes_raw = [](const ActiveQuery& q, int port) {
-          if (port == 0) return q.desc.kind == QueryKind::kSelection;
-          return q.desc.kind == QueryKind::kMultiJoin;
-        };
-        auto op = std::make_unique<RouterOperator>(std::move(cfg));
-        {
-          std::lock_guard<std::mutex> lock(ops_mutex_);
-          routers_.push_back(op.get());
-        }
-        return op;
-      };
-      router.inputs = {{sel_stages[0], 0, spe::Partitioning::kHash},
-                       {s_join, 1, spe::Partitioning::kHash}};
-      stage_router_ = spec.AddStage(std::move(router));
-      break;
-    }
-  }
-  if (inputs_.empty()) {
-    // Two-stream topologies: the generic Push(stream, ...) surface maps
-    // stream 0 -> A and stream 1 -> B.
-    inputs_.push_back(input_a_);
-    if (input_b_ >= 0) inputs_.push_back(input_b_);
-  }
-  selection_stages_.clear();
-  for (const spe::ExternalInputSpec& ext : spec.external_inputs()) {
-    selection_stages_.push_back(ext.target_stage);
+    s_windowed = spec.AddStage(std::move(agg));
   }
 
+  // The router: raw stream-0 tuples of selection queries on port 0,
+  // windowed results on port 1.
+  spe::StageSpec router;
+  router.name = "router";
+  router.parallelism = par;
+  router.num_ports = 2;
+  router.is_sink = true;
+  router.factory = [this, track,
+                    overhead](int) -> std::unique_ptr<spe::Operator> {
+    RouterOperator::Config cfg;
+    cfg.num_ports = 2;
+    cfg.measure_overhead = overhead;
+    cfg.metrics = &metrics_;
+    cfg.trace = &trace_;
+    cfg.clock = clock_;
+    cfg.routes_raw = [](const ActiveQuery& q, int port) {
+      return port == 0 ? q.desc.kind == QueryKind::kSelection
+                       : q.desc.HasWindow();
+    };
+    return track(&routers_, std::make_unique<RouterOperator>(std::move(cfg)));
+  };
+  router.inputs = {{sel_stages[0], 0, spe::Partitioning::kHash},
+                   {s_windowed, 1, spe::Partitioning::kHash}};
+  spec.AddStage(std::move(router));
+
+  selection_stages_ = sel_stages;
   total_instances_ = 0;
   for (const auto& s : spec.stages()) total_instances_ += s.parallelism;
   return spec;
@@ -561,28 +356,15 @@ TimestampMs AStreamJob::ClampToMarkers(TimestampMs event_time) {
   return std::max(event_time, session_.last_marker_time());
 }
 
-PushResult AStreamJob::PushA(TimestampMs event_time, spe::Row row) {
-  return PushTo(input_a_, event_time, std::move(row));
-}
-
-PushResult AStreamJob::PushB(TimestampMs event_time, spe::Row row) {
-  return PushTo(input_b_, event_time, std::move(row));
-}
-
 PushResult AStreamJob::Push(int stream, TimestampMs event_time,
                             spe::Row row) {
-  if (stream < 0 || stream >= static_cast<int>(inputs_.size())) {
-    if (m_push_shutdown_ != nullptr) m_push_shutdown_->Add();
-    return PushResult::kShutdown;
-  }
-  return PushTo(inputs_[stream], event_time, std::move(row));
-}
-
-PushResult AStreamJob::PushTo(int input, TimestampMs event_time,
-                              spe::Row row) {
-  if (input < 0 || !started_ || finished_ || runner_->Failed()) {
-    // Permanent refusal: there is nothing to retry against. A poisoned
-    // runner refuses immediately instead of blocking on dead consumers.
+  // Stream s feeds external input s (BuildTopology adds them in order).
+  const int input = stream;
+  if (input < 0 || input >= NumInputStreams() || !started_ || finished_ ||
+      runner_->Failed()) {
+    // Permanent refusal: no such stream, or nothing to retry against. A
+    // poisoned runner refuses immediately instead of blocking on dead
+    // consumers.
     if (m_push_shutdown_ != nullptr) m_push_shutdown_->Add();
     return PushResult::kShutdown;
   }
@@ -610,7 +392,7 @@ PushResult AStreamJob::PushTo(int input, TimestampMs event_time,
     if (buf.size() >= options_.batch_size ||
         pushed_time - source_batch_start_[input] >=
             options_.batch_linger_ms) {
-      ok = runner_->PushBatch(input, std::move(buf));
+      ok = runner_->Push(input, std::move(buf));
       buf.Clear();
     }
   }
@@ -632,15 +414,14 @@ void AStreamJob::FlushSourceBatches() {
   if (runner_ == nullptr) return;
   for (size_t in = 0; in < source_batches_.size(); ++in) {
     if (source_batches_[in].empty()) continue;
-    runner_->PushBatch(static_cast<int>(in),
-                       std::move(source_batches_[in]));
+    runner_->Push(static_cast<int>(in), std::move(source_batches_[in]));
     source_batches_[in].Clear();
   }
 }
 
 void AStreamJob::PushWatermark(TimestampMs watermark) {
   FlushSourceBatches();
-  for (int input : inputs_) {
+  for (int input = 0; input < NumInputStreams(); ++input) {
     runner_->Push(input, spe::StreamElement::MakeWatermark(watermark));
   }
 }
@@ -1012,7 +793,7 @@ AStreamJob::OperatorStats AStreamJob::CollectStats() const {
     // The join-pair memo is the join side of the arrangement layer.
     s.arrange_memo_hits += j->pairs_reused();
     s.arrange_memo_misses += j->pairs_computed();
-    const FactorRegistry::Stats& fs = j->tracker().factors().stats();
+    const FactorRegistry::Stats fs = j->tracker().factors().stats();
     s.factor_rewrites += fs.rewrites;
     s.factor_reuses += fs.reuses;
     s.factor_fallbacks += fs.fallbacks;
@@ -1027,7 +808,7 @@ AStreamJob::OperatorStats AStreamJob::CollectStats() const {
     // The chain memo is the multiway analogue of the join-pair memo.
     s.arrange_memo_hits += m->chains_reused();
     s.arrange_memo_misses += m->chains_computed();
-    const SubJoinRegistry::Stats& ss = m->registry().stats();
+    const SubJoinRegistry::Stats ss = m->registry().stats();
     s.subjoins_built += ss.built;
     s.subjoins_attached += ss.attached;
     s.subjoin_nodes += static_cast<int64_t>(m->registry().NumNodes());
@@ -1041,7 +822,7 @@ AStreamJob::OperatorStats AStreamJob::CollectStats() const {
     s.arrange_memo_misses += a->arrangement().memo_misses();
     s.arrange_memo_bytes +=
         static_cast<int64_t>(a->arrangement().memo_bytes());
-    const FactorRegistry::Stats& fs = a->tracker().factors().stats();
+    const FactorRegistry::Stats fs = a->tracker().factors().stats();
     s.factor_rewrites += fs.rewrites;
     s.factor_reuses += fs.reuses;
     s.factor_fallbacks += fs.fallbacks;
@@ -1167,12 +948,14 @@ obs::MetricsRegistry::Snapshot AStreamJob::MetricsSnapshot() {
             ->Set(compactor_->total_ms());
       }
       if (spill_space_ != nullptr) {
-        // On-disk / raw bytes of everything ever spilled, in basis points
-        // (10000 = stored uncompressed).
+        // Both totals are exported so a sharded view can recompute the
+        // ratio instead of summing it (obs::MergeSnapshots).
         const int64_t raw = spill_space_->total_spill_raw_bytes();
         const int64_t disk = spill_space_->total_spill_bytes();
+        metrics_.GetGauge("storage.spilled_raw_bytes")->Set(raw);
+        metrics_.GetGauge("storage.spilled_disk_bytes")->Set(disk);
         metrics_.GetGauge("storage.compressed_ratio_bp")
-            ->Set(raw > 0 ? disk * 10000 / raw : 10000);
+            ->Set(obs::CompressedRatioBp(disk, raw));
       }
     }
     if (options_.meter_costs) {

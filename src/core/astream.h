@@ -31,7 +31,7 @@ namespace astream::core {
 /// Lifecycle:
 ///   1. Create(options) — pick a topology family and parallelism.
 ///   2. Start().
-///   3. From ONE control thread: Push*/PushWatermark data in event-time
+///   3. From ONE control thread: Push/PushWatermark data in event-time
 ///      order, Submit/Cancel queries, and Pump() to flush session batches
 ///      (markers are woven into the streams).
 ///   4. Results arrive on the result callback (sink threads in threaded
@@ -47,7 +47,8 @@ class AStreamJob {
   struct Options {
     TopologyKind topology = TopologyKind::kAggregation;
     /// External input streams (kMultiway only; 2..kMaxJoinDepth). Other
-    /// topologies keep their fixed stream count (A, or A + B).
+    /// topologies keep their fixed stream count (1 for kAggregation, 2 for
+    /// kJoin and kComplex).
     int num_streams = 2;
     /// Instances per shared operator — the "cluster node" equivalent.
     int parallelism = 1;
@@ -100,7 +101,7 @@ class AStreamJob {
     /// Out-of-core state (DESIGN.md §10): when the resolved memory budget
     /// is > 0 the job creates a spill space + governor and the shared
     /// operators shed their coldest slices to disk under pressure (or, with
-    /// allow_spill = false, PushA/PushB report kBackpressure instead).
+    /// allow_spill = false, Push reports kBackpressure instead).
     /// Default: ASTREAM_MEMORY_BUDGET from the environment, else unlimited
     /// (no storage engine, the pre-out-of-core behavior).
     storage::StorageOptions storage;
@@ -129,20 +130,22 @@ class AStreamJob {
 
   Status Start();
 
-  /// Data input (event-time order per stream). Stream B exists only for
+  /// Data input (event-time order per stream). Stream 1 exists only for
   /// join/complex/multiway topologies; streams 2.. only on kMultiway jobs
-  /// with that many streams. Returns kBackpressure when the tuple was
-  /// refused (job not started / finished / cancelled; no such stream) and
+  /// with that many streams. Returns kShutdown when the tuple was refused
+  /// for good (job not started / finished / failed; no such stream),
+  /// kBackpressure when a budget without spilling refused it, and
   /// kLateClamped when the event time was nudged onto the latest changelog
   /// marker (see PushResult).
   PushResult Push(int stream, TimestampMs event_time, spe::Row row);
-  PushResult PushA(TimestampMs event_time, spe::Row row);
-  PushResult PushB(TimestampMs event_time, spe::Row row);
   /// Advances the watermark on all input streams.
   void PushWatermark(TimestampMs watermark);
 
-  /// Number of external input streams of this job's topology.
-  int NumInputStreams() const { return static_cast<int>(inputs_.size()); }
+  /// Number of external input streams of this job's topology (0 before
+  /// Start()).
+  int NumInputStreams() const {
+    return static_cast<int>(selection_stages_.size());
+  }
 
   /// Submits an ad-hoc query (must match the topology family). The query
   /// goes live when its changelog batch deploys. Fails with
@@ -296,7 +299,6 @@ class AStreamJob {
   double LiveP99() const;
   /// State-byte shares across the windowed operators (ops_mutex_).
   std::map<QueryId, int64_t> ComputeStateShares() const;
-  PushResult PushTo(int input, TimestampMs event_time, spe::Row row);
   /// Ships all buffered source tuples downstream as batches. Called before
   /// watermarks, markers, and shutdown — the batch-boundary rule.
   void FlushSourceBatches();
@@ -351,15 +353,9 @@ class AStreamJob {
   std::unique_ptr<storage::Compactor> compactor_;
   std::unique_ptr<spe::Runner> runner_;
 
-  // Stage indices (filled by BuildTopology). `inputs_[s]` is the external
-  // input index of stream s; input_a_/input_b_ mirror entries 0/1 for the
-  // legacy shims.
-  int stage_router_ = -1;
-  /// The selection stage each external input feeds (CollectStats).
+  /// The selection stage stream s (external input s) feeds (filled by
+  /// BuildTopology).
   std::vector<int> selection_stages_;
-  int input_a_ = -1;
-  int input_b_ = -1;
-  std::vector<int> inputs_;
   size_t total_instances_ = 0;
 
   // Raw operator pointers for stats; valid while runner_ lives.

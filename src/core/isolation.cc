@@ -98,14 +98,10 @@ Status IsolationManager::Cancel(QueryId id) {
   return Status::OK();
 }
 
-PushResult IsolationManager::PushA(TimestampMs event_time, spe::Row row) {
-  if (dedicated_ != nullptr) dedicated_->PushA(event_time, row);
-  return primary_->PushA(event_time, std::move(row));
-}
-
-PushResult IsolationManager::PushB(TimestampMs event_time, spe::Row row) {
-  if (dedicated_ != nullptr) dedicated_->PushB(event_time, row);
-  return primary_->PushB(event_time, std::move(row));
+PushResult IsolationManager::Push(int stream, TimestampMs event_time,
+                                  spe::Row row) {
+  if (dedicated_ != nullptr) dedicated_->Push(stream, event_time, row);
+  return primary_->Push(stream, event_time, std::move(row));
 }
 
 void IsolationManager::PushWatermark(TimestampMs watermark) {

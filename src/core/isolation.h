@@ -16,10 +16,10 @@ namespace astream::core {
 /// exactly once, by exactly one of the two jobs.
 ///
 /// The manager is a facade over the primary job. Route Submit / Cancel /
-/// Push* / Pump / SetResultCallback through it so it can (a) remember
-/// descriptors for re-submission, (b) duplicate the live feed into the
-/// dedicated job while one exists, and (c) rewrite re-admitted query ids
-/// back to the id the client knows.
+/// Push / PushWatermark / Pump / SetResultCallback through it so it can
+/// (a) remember descriptors for re-submission, (b) duplicate the live feed
+/// into the dedicated job while one exists, and (c) rewrite re-admitted
+/// query ids back to the id the client knows.
 ///
 /// Migration protocol (all on the control thread):
 ///
@@ -55,8 +55,7 @@ class IsolationManager {
   Result<AStreamJob::SubmitOutcome> SubmitWithOutcome(
       const QueryDescriptor& desc);
   Status Cancel(QueryId id);
-  PushResult PushA(TimestampMs event_time, spe::Row row);
-  PushResult PushB(TimestampMs event_time, spe::Row row);
+  PushResult Push(int stream, TimestampMs event_time, spe::Row row);
   void PushWatermark(TimestampMs watermark);
   int Pump(bool force = false);
   void SetResultCallback(AStreamJob::ResultCallback callback);

@@ -98,12 +98,6 @@ Result<JobConfig> JobConfig::Validated(JobConfig config) {
     return Status::InvalidArgument(
         "state_dir (durable shard checkpoints) requires supervised");
   }
-  if (config.supervised &&
-      config.job.topology == core::AStreamJob::TopologyKind::kMultiway) {
-    return Status::InvalidArgument(
-        "supervised shards replay a two-stream source log; "
-        "multiway topologies are not supported supervised");
-  }
   if (config.supervised && config.job.checkpoint_store != nullptr) {
     return Status::InvalidArgument(
         "supervised shards own their checkpoint stores; "

@@ -57,9 +57,9 @@ const std::vector<int>& SubJoinRegistry::AcquireFor(
   std::vector<int> chain;
   if (best != nullptr) {
     chain = *best;
-    ++stats_.attached;
+    attached_.Add(1);
   } else {
-    ++stats_.built;
+    built_.Add(1);
   }
   for (int s : cost_order) {
     if (std::find(chain.begin(), chain.end(), s) == chain.end()) {
@@ -70,6 +70,7 @@ const std::vector<int>& SubJoinRegistry::AcquireFor(
   for (size_t len = 2; len <= chain.size(); ++len) {
     ++nodes_[std::vector<int>(chain.begin(), chain.begin() + len)];
   }
+  num_nodes_.Set(static_cast<int64_t>(nodes_.size()));
   return by_slot_[slot] = std::move(chain);
 }
 
@@ -83,6 +84,7 @@ void SubJoinRegistry::Release(int slot) {
     if (node != nodes_.end() && --node->second <= 0) nodes_.erase(node);
   }
   by_slot_.erase(it);
+  num_nodes_.Set(static_cast<int64_t>(nodes_.size()));
 }
 
 void SubJoinRegistry::Serialize(spe::StateWriter* writer) const {
@@ -92,8 +94,8 @@ void SubJoinRegistry::Serialize(spe::StateWriter* writer) const {
     writer->WriteU64(chain.size());
     for (int s : chain) writer->WriteI64(s);
   }
-  writer->WriteI64(stats_.built);
-  writer->WriteI64(stats_.attached);
+  writer->WriteI64(built_.Get());
+  writer->WriteI64(attached_.Get());
 }
 
 Status SubJoinRegistry::Restore(spe::StateReader* reader) {
@@ -112,8 +114,9 @@ Status SubJoinRegistry::Restore(spe::StateReader* reader) {
     }
     by_slot_[slot] = std::move(chain);
   }
-  stats_.built = reader->ReadI64();
-  stats_.attached = reader->ReadI64();
+  num_nodes_.Set(static_cast<int64_t>(nodes_.size()));
+  built_.Set(reader->ReadI64());
+  attached_.Set(reader->ReadI64());
   if (!reader->Ok()) return Status::Internal("bad sub-join registry snapshot");
   return Status::OK();
 }

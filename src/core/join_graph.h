@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/owned_counter.h"
 #include "common/status.h"
 #include "spe/state.h"
 
@@ -78,6 +79,7 @@ class JoinCostModel {
 /// serialized source of truth; nodes_ is rebuilt from it on restore.
 class SubJoinRegistry {
  public:
+  /// A snapshot of the registry's counters (any thread may take one).
   struct Stats {
     int64_t built = 0;     // chains that had to materialize a new sub-join
     int64_t attached = 0;  // chains that reused an existing sub-join prefix
@@ -104,9 +106,10 @@ class SubJoinRegistry {
     return it == nodes_.end() ? 0 : it->second;
   }
 
-  size_t NumNodes() const { return nodes_.size(); }
+  /// Any thread may read the node count while the task thread runs.
+  size_t NumNodes() const { return static_cast<size_t>(num_nodes_.Get()); }
   size_t NumSlots() const { return by_slot_.size(); }
-  const Stats& stats() const { return stats_; }
+  Stats stats() const { return Stats{built_.Get(), attached_.Get()}; }
 
   void Serialize(spe::StateWriter* writer) const;
   Status Restore(spe::StateReader* reader);
@@ -116,7 +119,9 @@ class SubJoinRegistry {
   std::map<std::vector<int>, int> nodes_;
   /// Deterministic slot -> full chain assignment (serialized).
   std::map<int, std::vector<int>> by_slot_;
-  Stats stats_;
+  OwnedCounter built_;
+  OwnedCounter attached_;
+  OwnedCounter num_nodes_;  // nodes_.size(), published for readers
 };
 
 }  // namespace astream::core

@@ -42,7 +42,7 @@ void SharedMultiwayJoin::RefreshArenaBytes() {
   for (const TupleArrangement& port : ports_) {
     port.AddBytes(&bytes, &resident, &coldest_index);
   }
-  state_arena_bytes_ = bytes;
+  state_arena_bytes_.Set(bytes);
   if (governor() == nullptr) return;
   int64_t coldest_end = std::numeric_limits<int64_t>::max();
   if (coldest_index != TupleArrangement::kNoVersion) {
@@ -105,7 +105,7 @@ size_t SharedMultiwayJoin::SpillOnce() {
   for (const TupleArrangement& port : ports_) {
     coldest = std::min(coldest, port.ColdestResident());
   }
-  if (best_v != coldest) ++reload_saves_;
+  if (best_v != coldest) reload_saves_.Add(1);
   size_t released = 0;
   for (TupleArrangement& port : ports_) released += port.SpillAt(best_v);
   released += tracker().cl_table().SpillBelow(best_v, spill_space());
@@ -119,7 +119,7 @@ void SharedMultiwayJoin::ProcessRecord(int port, spe::Record record,
   NoteEventTime(record.event_time);
   cost_model_.ObserveInserts(port, 1);
   if (record.event_time < current_watermark()) {
-    ++records_late_;
+    records_late_.Add(1);
     if (metrics_on()) {
       (record.tags & hosted_mask()).ForEachSetBit([&](size_t slot) {
         if (obs::QuerySeries* s = SeriesForSlot(slot)) s->late_drops.Add();
@@ -128,7 +128,7 @@ void SharedMultiwayJoin::ProcessRecord(int port, spe::Record record,
     return;
   }
   QuerySet tags = record.tags & hosted_mask();
-  ++bitset_ops_;
+  bitset_ops_.Add(1);
   if (tags.None()) return;
   if (meter_costs()) {
     tags.ForEachSetBit([&](size_t slot) {
@@ -147,12 +147,13 @@ void SharedMultiwayJoin::ProcessBatch(int port, spe::RecordBatch& records,
   SliceCursor cursor;
   TupleStore* cached_store = nullptr;
   int64_t ops = 0;
+  int64_t late = 0;
   int64_t arrived = 0;
   for (spe::Record& record : records) {
     NoteEventTime(record.event_time);
     ++arrived;
     if (record.event_time < current_watermark()) {
-      ++records_late_;
+      ++late;
       if (metrics_on()) {
         (record.tags & hosted_mask()).ForEachSetBit([&](size_t slot) {
           if (obs::QuerySeries* s = SeriesForSlot(slot)) s->late_drops.Add();
@@ -176,7 +177,8 @@ void SharedMultiwayJoin::ProcessBatch(int port, spe::RecordBatch& records,
     }
     cached_store->Insert(record.row, scratch_tags_);
   }
-  bitset_ops_ += ops;
+  bitset_ops_.Add(ops);
+  records_late_.Add(late);
   cost_model_.ObserveInserts(port, arrived);
   RefreshArenaBytes();
   EnforceBudget();
@@ -235,16 +237,16 @@ SharedMultiwayJoin::EvalChain(const std::vector<int>& chain, size_t len,
                               TimestampMs start, TimestampMs end,
                               const std::vector<SliceInfo>& slices,
                               std::map<int, WindowIndex>* index_cache,
-                              bool* computed) {
+                              bool* computed, TriggerTally* tally) {
   ChainKey key{std::vector<int>(chain.begin(), chain.begin() + len),
                {start, end}};
   auto hit = chain_memo_.find(key);
   if (hit != chain_memo_.end()) {
-    ++chains_reused_;
+    ++tally->chains_reused;
     *computed = false;
     return hit->second.combos;
   }
-  ++chains_computed_;
+  ++tally->chains_computed;
   *computed = true;
   MemoEntry entry;
   if (len == 1) {
@@ -263,14 +265,14 @@ SharedMultiwayJoin::EvalChain(const std::vector<int>& chain, size_t len,
     bool sub_computed = false;
     const std::vector<Combination>& prev =
         EvalChain(chain, len - 1, start, end, slices, index_cache,
-                  &sub_computed);
+                  &sub_computed, tally);
     const WindowIndex& index = IndexFor(chain[len - 1], slices, index_cache);
     for (const Combination& c : prev) {
       auto probe = index.find(c.key);
       if (probe == index.end()) continue;
       for (const IndexEntry& e : probe->second) {
         QuerySet tags = c.tags & e.tags;
-        ++bitset_ops_;
+        ++tally->bitset_ops;
         if (tags.None()) continue;
         const int64_t lo = std::min(c.lo, e.slice);
         const int64_t hi = std::max(c.hi, e.slice);
@@ -278,7 +280,7 @@ SharedMultiwayJoin::EvalChain(const std::vector<int>& chain, size_t len,
         // mask already applied, so re-ANDing it yields exactly
         // (AND of member tags) & Mask(min slice, max slice).
         tags &= tracker().cl_table().Mask(lo, hi);
-        ++bitset_ops_;
+        ++tally->bitset_ops;
         if (tags.None()) continue;
         Combination nc;
         nc.parts = c.parts;
@@ -346,13 +348,15 @@ void SharedMultiwayJoin::TriggerWindows(
   }
 
   std::map<int, WindowIndex> index_cache;
+  TriggerTally tally;
   const TimestampMs result_time = end - 1;
   for (const auto& [key, unit] : units) {
     const std::vector<int>& chain = key.first;
     const std::vector<int>& declared = key.second;
     bool computed = false;
-    const std::vector<Combination>& combos = EvalChain(
-        chain, chain.size(), start, end, slices, &index_cache, &computed);
+    const std::vector<Combination>& combos =
+        EvalChain(chain, chain.size(), start, end, slices, &index_cache,
+                  &computed, &tally);
     if (metrics_on()) {
       // The first member pays for the chain's computation; every other
       // query (in this unit and later triggers) reuses the memo.
@@ -376,7 +380,7 @@ void SharedMultiwayJoin::TriggerWindows(
         row = spe::Row::Concat(row, c.parts[perm[j]]);
       }
       QuerySet shared = c.tags & unit.active_bits;
-      ++bitset_ops_;
+      ++tally.bitset_ops;
       if (shared.Any()) {
         out->EmitRecord(result_time, row, std::move(shared));
       }
@@ -393,6 +397,9 @@ void SharedMultiwayJoin::TriggerWindows(
       }
     }
   }
+  bitset_ops_.Add(tally.bitset_ops);
+  chains_computed_.Add(tally.chains_computed);
+  chains_reused_.Add(tally.chains_reused);
   // Reference mode: no cross-trigger sub-join sharing — the memo only
   // served this interval's evaluation.
   if (!share_arrangements()) ReleaseChainMemo();
@@ -454,8 +461,8 @@ Status SharedMultiwayJoin::SnapshotState(spe::StateWriter* writer) {
     for (int s : plan.declared) writer->WriteI64(s);
   }
   // The chain memo is a cache: recomputed on demand after restore.
-  writer->WriteI64(chains_computed_);
-  writer->WriteI64(records_late_);
+  writer->WriteI64(chains_computed_.Get());
+  writer->WriteI64(records_late_.Get());
   return Status::OK();
 }
 
@@ -486,8 +493,8 @@ Status SharedMultiwayJoin::RestoreState(spe::StateReader* reader) {
     }
     draining_plans_[id] = std::move(plan);
   }
-  chains_computed_ = reader->ReadI64();
-  records_late_ = reader->ReadI64();
+  chains_computed_.Set(reader->ReadI64());
+  records_late_.Set(reader->ReadI64());
   if (!reader->Ok()) return Status::Internal("bad multiway-join snapshot");
   RebuildPlans();
   RefreshArenaBytes();

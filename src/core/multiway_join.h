@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/owned_counter.h"
 #include "core/arrangement.h"
 #include "core/join_graph.h"
 #include "core/shared_operator.h"
@@ -45,12 +46,13 @@ class SharedMultiwayJoin : public SharedWindowedOperator,
   Status RestoreState(spe::StateReader* reader) override;
 
   /// Observability / micro_mjoin.
-  int64_t chains_computed() const { return chains_computed_; }
-  int64_t chains_reused() const { return chains_reused_; }
-  int64_t bitset_ops() const { return bitset_ops_; }
-  int64_t records_late() const { return records_late_; }
-  int64_t state_arena_bytes() const { return state_arena_bytes_; }
-  int64_t reload_saves() const { return reload_saves_; }
+  /// Any thread may read these while the task thread runs.
+  int64_t chains_computed() const { return chains_computed_.Get(); }
+  int64_t chains_reused() const { return chains_reused_.Get(); }
+  int64_t bitset_ops() const { return bitset_ops_.Get(); }
+  int64_t records_late() const { return records_late_.Get(); }
+  int64_t state_arena_bytes() const { return state_arena_bytes_.Get(); }
+  int64_t reload_saves() const { return reload_saves_.Get(); }
   const SubJoinRegistry& registry() const { return registry_; }
   const JoinCostModel& cost_model() const { return cost_model_; }
 
@@ -67,7 +69,9 @@ class SharedMultiwayJoin : public SharedWindowedOperator,
   void OnSlicesEvicted(const std::vector<int64_t>& indices) override;
   void OnModeSwitch(StoreMode mode) override;
   void OnWatermarkTail(TimestampMs watermark, spe::Collector* out) override;
-  int64_t ResidentStateBytes() const override { return state_arena_bytes_; }
+  int64_t ResidentStateBytes() const override {
+    return state_arena_bytes_.Get();
+  }
 
  private:
   /// A query's evaluation plan: the registry-assigned probe chain and the
@@ -111,12 +115,21 @@ class SharedMultiwayJoin : public SharedWindowedOperator,
   const WindowIndex& IndexFor(int port, const std::vector<SliceInfo>& slices,
                               std::map<int, WindowIndex>* cache);
 
+  /// Work one trigger did, added to the counters once at its end.
+  struct TriggerTally {
+    int64_t bitset_ops = 0;
+    int64_t chains_computed = 0;
+    int64_t chains_reused = 0;
+  };
+
   /// The combinations of chain[0..len) inside [start, end). `*computed`
-  /// reports whether this call did top-level work or hit the memo.
+  /// reports whether this call did top-level work or hit the memo; the
+  /// work is counted into `*tally`.
   const std::vector<Combination>& EvalChain(
       const std::vector<int>& chain, size_t len, TimestampMs start,
       TimestampMs end, const std::vector<SliceInfo>& slices,
-      std::map<int, WindowIndex>* index_cache, bool* computed);
+      std::map<int, WindowIndex>* index_cache, bool* computed,
+      TriggerTally* tally);
 
   size_t ReleaseChainMemo();
   void RefreshArenaBytes();
@@ -135,12 +148,12 @@ class SharedMultiwayJoin : public SharedWindowedOperator,
   std::map<ChainKey, MemoEntry> chain_memo_;
   size_t chain_memo_bytes_ = 0;
 
-  int64_t chains_computed_ = 0;
-  int64_t chains_reused_ = 0;
-  int64_t bitset_ops_ = 0;
-  int64_t records_late_ = 0;
-  int64_t state_arena_bytes_ = 0;
-  int64_t reload_saves_ = 0;
+  OwnedCounter chains_computed_;
+  OwnedCounter chains_reused_;
+  OwnedCounter bitset_ops_;
+  OwnedCounter records_late_;
+  OwnedCounter state_arena_bytes_;
+  OwnedCounter reload_saves_;
   QuerySet scratch_tags_;
 };
 

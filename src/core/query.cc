@@ -47,6 +47,16 @@ const char* QueryKindName(QueryKind kind) {
   return "?";
 }
 
+const std::vector<Predicate>& QueryDescriptor::SelectOn(int stream) const {
+  static const std::vector<Predicate> kNone;
+  if (kind == QueryKind::kMultiJoin) {
+    const JoinInput* in = InputFor(stream);
+    return in != nullptr ? in->select : kNone;
+  }
+  if (!UsesStream(stream)) return kNone;
+  return stream == 0 ? select_a : select_b;
+}
+
 std::string QueryDescriptor::ToString() const {
   std::string s = QueryKindName(kind);
   if (HasWindow()) s += " " + window.ToString();

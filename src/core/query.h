@@ -96,7 +96,8 @@ struct JoinInput {
 /// Full description of one user query. Immutable once submitted.
 struct QueryDescriptor {
   QueryKind kind = QueryKind::kSelection;
-  /// Selection predicates on stream A (all kinds) and stream B (joins).
+  /// Selection predicates on stream 0 (all kinds but kMultiJoin) and
+  /// stream 1 (kJoin, kComplex); see SelectOn.
   std::vector<Predicate> select_a;
   std::vector<Predicate> select_b;
   /// Window of the aggregation / join stages (ignored for selections).
@@ -124,15 +125,27 @@ struct QueryDescriptor {
     return kind == QueryKind::kAggregation || kind == QueryKind::kComplex;
   }
 
-  /// True iff a kMultiJoin query reads `stream` on one of its legs (always
-  /// false for other kinds; their streams are fixed by the topology).
+  /// True iff the query reads external stream `stream`: selections and
+  /// aggregations read stream 0, joins and complex pipelines streams 0
+  /// and 1, a kMultiJoin query the streams of its legs.
   bool UsesStream(int stream) const {
-    for (const JoinInput& in : join_inputs) {
-      if (in.stream == stream) return true;
+    switch (kind) {
+      case QueryKind::kSelection:
+      case QueryKind::kAggregation:
+        return stream == 0;
+      case QueryKind::kJoin:
+      case QueryKind::kComplex:
+        return stream == 0 || stream == 1;
+      case QueryKind::kMultiJoin:
+        return InputFor(stream) != nullptr;
     }
     return false;
   }
-  /// The leg reading `stream`, or nullptr.
+  /// The selection predicates that apply on `stream`: a kMultiJoin leg's
+  /// own, else `select_a` on stream 0 and `select_b` on stream 1. Empty
+  /// for a stream the query does not read.
+  const std::vector<Predicate>& SelectOn(int stream) const;
+  /// The kMultiJoin leg reading `stream`, or nullptr.
   const JoinInput* InputFor(int stream) const {
     for (const JoinInput& in : join_inputs) {
       if (in.stream == stream) return &in;

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "common/owned_counter.h"
 #include "core/changelog.h"
 #include "core/window_math.h"
 #include "spe/window.h"
@@ -73,6 +74,7 @@ struct FactorWindow {
 /// and every shard make identical choices.
 class FactorRegistry {
  public:
+  /// A snapshot of the registry's counters (any thread may take one).
   struct Stats {
     /// Queries that registered a fresh factor lattice.
     int64_t rewrites = 0;
@@ -101,7 +103,7 @@ class FactorRegistry {
                                          const spe::WindowSpec& spec) {
     const auto own = ChooseFactor(origin, spec);
     if (!own.has_value()) {
-      ++stats_.fallbacks;
+      fallbacks_.Add(1);
       return std::nullopt;
     }
     // Coarsest compatible existing lattice (map is period-ascending, so
@@ -118,7 +120,7 @@ class FactorRegistry {
     const FactorWindow chosen = reused ? *best : *own;
     ++lattices_[chosen];
     by_slot_[slot] = chosen;
-    ++(reused ? stats_.reuses : stats_.rewrites);
+    (reused ? reuses_ : rewrites_).Add(1);
     return chosen;
   }
 
@@ -147,7 +149,9 @@ class FactorRegistry {
 
   size_t NumLattices() const { return lattices_.size(); }
   size_t NumRegistered() const { return by_slot_.size(); }
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    return Stats{rewrites_.Get(), reuses_.Get(), fallbacks_.Get()};
+  }
 
   void Serialize(spe::StateWriter* writer) const {
     writer->WriteU64(by_slot_.size());
@@ -156,9 +160,9 @@ class FactorRegistry {
       writer->WriteI64(fw.anchor);
       writer->WriteI64(fw.period);
     }
-    writer->WriteI64(stats_.rewrites);
-    writer->WriteI64(stats_.reuses);
-    writer->WriteI64(stats_.fallbacks);
+    writer->WriteI64(rewrites_.Get());
+    writer->WriteI64(reuses_.Get());
+    writer->WriteI64(fallbacks_.Get());
   }
 
   Status Restore(spe::StateReader* reader) {
@@ -173,9 +177,9 @@ class FactorRegistry {
       by_slot_[slot] = fw;
       ++lattices_[fw];
     }
-    stats_.rewrites = reader->ReadI64();
-    stats_.reuses = reader->ReadI64();
-    stats_.fallbacks = reader->ReadI64();
+    rewrites_.Set(reader->ReadI64());
+    reuses_.Set(reader->ReadI64());
+    fallbacks_.Set(reader->ReadI64());
     return reader->Ok() ? Status::OK()
                         : Status::Internal("bad FactorRegistry snapshot");
   }
@@ -183,7 +187,9 @@ class FactorRegistry {
  private:
   std::map<FactorWindow, int> lattices_;  // -> refcount
   std::map<int, FactorWindow> by_slot_;
-  Stats stats_;
+  OwnedCounter rewrites_;
+  OwnedCounter reuses_;
+  OwnedCounter fallbacks_;
 };
 
 }  // namespace astream::core

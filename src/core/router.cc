@@ -46,7 +46,9 @@ void RouterOperator::ProcessRecord(int port, spe::Record record,
   std::chrono::steady_clock::time_point start;
   if (config_.measure_overhead) start = std::chrono::steady_clock::now();
 
-  RouteOne(port, std::move(record), out);
+  RouteTally tally;
+  RouteOne(port, std::move(record), out, &tally);
+  Publish(tally);
 
   if (config_.measure_overhead) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -65,9 +67,11 @@ void RouterOperator::ProcessBatch(int port, spe::RecordBatch& records,
   std::chrono::steady_clock::time_point start;
   if (config_.measure_overhead) start = std::chrono::steady_clock::now();
 
+  RouteTally tally;
   for (spe::Record& record : records) {
-    RouteOne(port, std::move(record), out);
+    RouteOne(port, std::move(record), out, &tally);
   }
+  Publish(tally);
 
   if (config_.measure_overhead) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -78,11 +82,17 @@ void RouterOperator::ProcessBatch(int port, spe::RecordBatch& records,
   }
 }
 
+void RouterOperator::Publish(const RouteTally& tally) {
+  records_routed_.Add(tally.routed);
+  rows_shared_.Add(tally.shared);
+  rows_copied_.Add(tally.copied);
+}
+
 void RouterOperator::RouteOne(int port, spe::Record record,
-                              spe::Collector* out) {
+                              spe::Collector* out, RouteTally* tally) {
   if (record.channel >= 0) {
     // Pre-resolved windowed result: ship as-is, keeping the channel stamp.
-    ++records_routed_;
+    ++tally->routed;
     if (metrics_on_) NoteEmit(record.channel, nullptr, record.event_time);
     spe::StreamElement el;
     el.kind = spe::ElementKind::kRecord;
@@ -103,11 +113,11 @@ void RouterOperator::RouteOne(int port, spe::Record record,
       copy.tags = QuerySet::Single(slot);
       copy.channel = q->id;
       copy.epoch = epoch_;
-      ++records_routed_;
+      ++tally->routed;
       if (copy.row.SharesStorageWith(record.row)) {
-        ++rows_shared_;
+        ++tally->shared;
       } else {
-        ++rows_copied_;
+        ++tally->copied;
       }
       if (metrics_on_) {
         NoteEmit(q->id, slot < slot_series_.size() ? slot_series_[slot]
@@ -146,7 +156,7 @@ void RouterOperator::OnMarker(const spe::ControlMarker& marker,
 
 Status RouterOperator::SnapshotState(spe::StateWriter* writer) {
   table_.Serialize(writer);
-  writer->WriteI64(records_routed_);
+  writer->WriteI64(records_routed_.Get());
   writer->WriteI64(epoch_);
   return Status::OK();
 }
@@ -154,7 +164,7 @@ Status RouterOperator::SnapshotState(spe::StateWriter* writer) {
 Status RouterOperator::RestoreState(spe::StateReader* reader) {
   ASTREAM_RETURN_IF_ERROR(table_.Restore(reader));
   RebuildSlotSeries();
-  records_routed_ = reader->ReadI64();
+  records_routed_.Set(reader->ReadI64());
   epoch_ = reader->ReadI64();
   return reader->Ok() ? Status::OK()
                       : Status::Internal("bad router snapshot");

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/owned_counter.h"
 #include "core/changelog.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,18 +65,27 @@ class RouterOperator : public spe::Operator {
   int64_t fanout_nanos() const {
     return fanout_nanos_.load(std::memory_order_relaxed);
   }
-  int64_t records_routed() const { return records_routed_; }
+  /// Any thread may read the routing counters while the task thread runs.
+  int64_t records_routed() const { return records_routed_.Get(); }
   /// Fan-out rows shipped by reference (CoW share — the Sec. 3.2.2 "copy"
   /// that no longer copies).
-  int64_t rows_shared() const { return rows_shared_; }
+  int64_t rows_shared() const { return rows_shared_.Get(); }
   /// Fan-out rows that materialized a fresh payload (empty/degenerate rows).
-  int64_t rows_copied() const { return rows_copied_; }
+  int64_t rows_copied() const { return rows_copied_.Get(); }
 
  private:
   /// Counts one shipped record and its event-time latency against `id`.
   void NoteEmit(QueryId id, obs::QuerySeries* series, TimestampMs event_time);
+  /// Routing work of one call, added to the counters once at its end.
+  struct RouteTally {
+    int64_t routed = 0;
+    int64_t shared = 0;
+    int64_t copied = 0;
+  };
   /// Ships one record to its query channels (shared by both process paths).
-  void RouteOne(int port, spe::Record record, spe::Collector* out);
+  void RouteOne(int port, spe::Record record, spe::Collector* out,
+                RouteTally* tally);
+  void Publish(const RouteTally& tally);
   void RebuildSlotSeries();
 
   Config config_;
@@ -83,9 +93,9 @@ class RouterOperator : public spe::Operator {
   // Id of the last aligned checkpoint barrier; stamped onto every routed
   // output (Record::epoch) for recovery-time output dedup.
   int64_t epoch_ = 0;
-  int64_t records_routed_ = 0;
-  int64_t rows_shared_ = 0;
-  int64_t rows_copied_ = 0;
+  OwnedCounter records_routed_;
+  OwnedCounter rows_shared_;
+  OwnedCounter rows_copied_;
   std::atomic<int64_t> fanout_nanos_{0};
 
   bool metrics_on_ = false;

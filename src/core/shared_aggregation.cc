@@ -37,7 +37,7 @@ size_t SharedAggregation::SpillOnce() {
   const int64_t victim = arrange_.PickVictim(&victim_reads);
   if (victim == AggArrangement::kNoVersion) return 0;
   if (victim != arrange_.ColdestResident()) {
-    ++reload_saves_;  // a hot slice kept resident
+    reload_saves_.Add(1);  // a hot slice kept resident
   }
   size_t released = arrange_.SpillAt(victim);
   released += tracker().cl_table().SpillBelow(victim, spill_space());
@@ -144,7 +144,7 @@ void SharedAggregation::AddToSession(SessionQuery* sq, spe::Value key,
 
 void SharedAggregation::IngestRecord(const spe::Record& record,
                                      const QuerySet& tags, SliceCursor* cursor,
-                                     AggStore** cached_store) {
+                                     AggStore** cached_store, int64_t* ops) {
   if (meter_costs()) {
     tags.ForEachSetBit([&](size_t slot) {
       if (obs::QuerySeries* s = SeriesForSlot(slot)) s->cost_rows.Add();
@@ -170,7 +170,7 @@ void SharedAggregation::IngestRecord(const spe::Record& record,
     // specs) share the stream.
     for (const ColumnMask& cm : column_masks_) {
       QuerySet group_tags = tags & cm.slots;
-      ++bitset_ops_;
+      ++*ops;
       if (group_tags.None()) continue;
       if (cursor->Advance(tracker(), record.event_time) ||
           *cached_store == nullptr) {
@@ -201,7 +201,7 @@ void SharedAggregation::ProcessRecord(int port, spe::Record record,
   (void)out;
   NoteEventTime(record.event_time);
   if (record.event_time < current_watermark()) {
-    ++records_late_;
+    records_late_.Add(1);
     if (metrics_on()) {
       (record.tags & port_masks_[port]).ForEachSetBit([&](size_t slot) {
         if (obs::QuerySeries* s = SeriesForSlot(slot)) s->late_drops.Add();
@@ -210,12 +210,15 @@ void SharedAggregation::ProcessRecord(int port, spe::Record record,
     return;
   }
   QuerySet tags = record.tags & port_masks_[port];
-  ++bitset_ops_;
-  if (tags.None()) return;
-
+  if (tags.None()) {
+    bitset_ops_.Add(1);
+    return;
+  }
+  int64_t ops = 1;
   SliceCursor cursor;
   AggStore* store = nullptr;
-  IngestRecord(record, tags, &cursor, &store);
+  IngestRecord(record, tags, &cursor, &store, &ops);
+  bitset_ops_.Add(ops);
   RefreshArenaBytes();
   EnforceBudget();
 }
@@ -225,7 +228,7 @@ void SharedAggregation::RefreshArenaBytes() {
   size_t resident = 0;
   int64_t coldest_index = AggArrangement::kNoVersion;
   arrange_.AddBytes(&bytes, &resident, &coldest_index);
-  state_arena_bytes_ = bytes;
+  state_arena_bytes_.Set(bytes);
   if (governor() == nullptr) return;
   int64_t coldest_end = std::numeric_limits<int64_t>::max();
   if (coldest_index != AggArrangement::kNoVersion) {
@@ -255,10 +258,11 @@ void SharedAggregation::ProcessBatch(int port, spe::RecordBatch& records,
   SliceCursor cursor;
   AggStore* cached_store = nullptr;
   int64_t ops = 0;
+  int64_t late = 0;
   for (spe::Record& record : records) {
     NoteEventTime(record.event_time);
     if (record.event_time < current_watermark()) {
-      ++records_late_;
+      ++late;
       if (metrics_on()) {
         (record.tags & mask).ForEachSetBit([&](size_t slot) {
           if (obs::QuerySeries* s = SeriesForSlot(slot)) {
@@ -272,9 +276,10 @@ void SharedAggregation::ProcessBatch(int port, spe::RecordBatch& records,
     scratch_tags_ &= mask;
     ++ops;
     if (scratch_tags_.None()) continue;
-    IngestRecord(record, scratch_tags_, &cursor, &cached_store);
+    IngestRecord(record, scratch_tags_, &cursor, &cached_store, &ops);
   }
-  bitset_ops_ += ops;
+  bitset_ops_.Add(ops);
+  records_late_.Add(late);
   RefreshArenaBytes();
   EnforceBudget();
 }
@@ -294,6 +299,7 @@ void SharedAggregation::TriggerWindows(
   const AggArrangement::Composed composed =
       arrange_.Compose(slices, &tracker().cl_table(), share_arrangements());
 
+  int64_t ops = 0;
   for (const TriggeredQuery& tq : queries) {
     const ActiveQuery& q = *tq.query;
     if (!q.desc.window.IsTimeWindow()) continue;
@@ -304,7 +310,7 @@ void SharedAggregation::TriggerWindows(
     // reuse.
     for (const SliceInfo& s : slices) {
       if (arrange_.AtVersion(s.index) == nullptr) continue;
-      ++bitset_ops_;
+      ++ops;
       if (!tracker().cl_table().SlotUnchanged(last_index, s.index, q.slot)) {
         continue;
       }
@@ -331,6 +337,7 @@ void SharedAggregation::TriggerWindows(
       out->Emit(std::move(el));
     }
   }
+  bitset_ops_.Add(ops);
 }
 
 void SharedAggregation::OnWatermarkTail(TimestampMs watermark,

@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "common/owned_counter.h"
 #include "core/arrangement.h"
 #include "core/shared_operator.h"
 
@@ -48,15 +49,16 @@ class SharedAggregation : public SharedWindowedOperator,
   Status SnapshotState(spe::StateWriter* writer) override;
   Status RestoreState(spe::StateReader* reader) override;
 
-  int64_t bitset_ops() const { return bitset_ops_; }
-  int64_t records_late() const { return records_late_; }
+  /// Any thread may read these while the task thread runs.
+  int64_t bitset_ops() const { return bitset_ops_.Get(); }
+  int64_t records_late() const { return records_late_.Get(); }
   /// Arena bytes backing all live slice stores (the state.arena_bytes
   /// gauge). Refreshed by the task thread after inserts and evictions.
-  int64_t state_arena_bytes() const { return state_arena_bytes_; }
+  int64_t state_arena_bytes() const { return state_arena_bytes_.Get(); }
   /// Times the access-aware policy evicted something other than the
   /// coldest slice — each one a reload a standing query did not pay
   /// (the storage.reload_saves gauge).
-  int64_t reload_saves() const { return reload_saves_; }
+  int64_t reload_saves() const { return reload_saves_.Get(); }
   /// The shared arrangement (memo hit/miss counters, composed-block bytes).
   const AggArrangement& arrangement() const { return arrange_; }
 
@@ -74,7 +76,9 @@ class SharedAggregation : public SharedWindowedOperator,
   void OnQueryCreated(const ActiveQuery& query) override;
   void OnQueryDeleted(const DrainingQuery& draining) override;
   void OnWatermarkTail(TimestampMs watermark, spe::Collector* out) override;
-  int64_t ResidentStateBytes() const override { return state_arena_bytes_; }
+  int64_t ResidentStateBytes() const override {
+    return state_arena_bytes_.Get();
+  }
 
  private:
   /// Cached per-slot facts, rebuilt on every changelog.
@@ -107,9 +111,11 @@ class SharedAggregation : public SharedWindowedOperator,
   void AddToSession(SessionQuery* sq, spe::Value key, TimestampMs t,
                     spe::Value value);
   /// Routes one in-window record into session state and slice partials.
-  /// `tags` is the record's tag set already intersected with the port mask.
+  /// `tags` is the record's tag set already intersected with the port mask;
+  /// bitset operations are added to `*ops`.
   void IngestRecord(const spe::Record& record, const QuerySet& tags,
-                    SliceCursor* cursor, AggStore** cached_store);
+                    SliceCursor* cursor, AggStore** cached_store,
+                    int64_t* ops);
   /// Recomputes arena/resident byte totals and reports them (with the
   /// coldest resident slice's window end) to the governor, if any.
   void RefreshArenaBytes();
@@ -134,10 +140,10 @@ class SharedAggregation : public SharedWindowedOperator,
   /// All hosted session-window slots.
   QuerySet session_mask_;
   std::map<QueryId, SessionQuery> session_queries_;
-  int64_t bitset_ops_ = 0;
-  int64_t records_late_ = 0;
-  int64_t state_arena_bytes_ = 0;
-  int64_t reload_saves_ = 0;
+  OwnedCounter bitset_ops_;
+  OwnedCounter records_late_;
+  OwnedCounter state_arena_bytes_;
+  OwnedCounter reload_saves_;
   // Scratch query-set reused across the tuples of one batch.
   QuerySet scratch_tags_;
 };

@@ -26,7 +26,7 @@ void SharedJoin::RefreshArenaBytes() {
   for (const TupleArrangement& side : sides_) {
     side.AddBytes(&bytes, &resident, &coldest_index);
   }
-  state_arena_bytes_ = bytes;
+  state_arena_bytes_.Set(bytes);
   if (governor() == nullptr) return;
   int64_t coldest_end = std::numeric_limits<int64_t>::max();
   if (coldest_index != TupleArrangement::kNoVersion) {
@@ -77,7 +77,7 @@ size_t SharedJoin::SpillOnce() {
   if (victim == TupleArrangement::kNoVersion) return 0;
   const int64_t coldest = std::min(sides_[0].ColdestResident(),
                                    sides_[1].ColdestResident());
-  if (victim != coldest) ++reload_saves_;  // a hot slice kept resident
+  if (victim != coldest) reload_saves_.Add(1);  // a hot slice kept resident
   size_t released = sides_[0].SpillAt(victim) + sides_[1].SpillAt(victim);
   released += tracker().cl_table().SpillBelow(victim, spill_space());
   RefreshArenaBytes();
@@ -89,7 +89,7 @@ void SharedJoin::ProcessRecord(int port, spe::Record record,
   (void)out;
   NoteEventTime(record.event_time);
   if (record.event_time < current_watermark()) {
-    ++records_late_;  // cannot be assigned consistently; dropped
+    records_late_.Add(1);  // cannot be assigned consistently; dropped
     if (metrics_on()) {
       (record.tags & hosted_mask()).ForEachSetBit([&](size_t slot) {
         if (obs::QuerySeries* s = SeriesForSlot(slot)) s->late_drops.Add();
@@ -98,7 +98,7 @@ void SharedJoin::ProcessRecord(int port, spe::Record record,
     return;
   }
   QuerySet tags = record.tags & hosted_mask();
-  ++bitset_ops_;
+  bitset_ops_.Add(1);
   if (tags.None()) return;
   if (meter_costs()) {
     tags.ForEachSetBit([&](size_t slot) {
@@ -120,10 +120,11 @@ void SharedJoin::ProcessBatch(int port, spe::RecordBatch& records,
   SliceCursor cursor;
   TupleStore* cached_store = nullptr;
   int64_t ops = 0;
+  int64_t late = 0;
   for (spe::Record& record : records) {
     NoteEventTime(record.event_time);
     if (record.event_time < current_watermark()) {
-      ++records_late_;  // cannot be assigned consistently; dropped
+      ++late;  // cannot be assigned consistently; dropped
       if (metrics_on()) {
         (record.tags & hosted_mask()).ForEachSetBit([&](size_t slot) {
           if (obs::QuerySeries* s = SeriesForSlot(slot)) {
@@ -149,26 +150,26 @@ void SharedJoin::ProcessBatch(int port, spe::RecordBatch& records,
     }
     cached_store->Insert(record.row, scratch_tags_);
   }
-  bitset_ops_ += ops;
+  bitset_ops_.Add(ops);
+  records_late_.Add(late);
   RefreshArenaBytes();
   EnforceBudget();
 }
 
 const std::vector<JoinedTuple>& SharedJoin::MemoFor(int64_t a, int64_t b,
-                                                    bool* computed) {
+                                                    bool* computed,
+                                                    int64_t* ops) {
   if (const std::vector<JoinedTuple>* hit = memo_.Find(a, b)) {
-    ++pairs_reused_;
     *computed = false;
     return *hit;
   }
-  ++pairs_computed_;
   *computed = true;
   std::vector<JoinedTuple>& results = memo_.Emplace(a, b);
   const TupleStore* sa = sides_[0].AtVersion(a);
   const TupleStore* sb = sides_[1].AtVersion(b);
   if (sa != nullptr && sb != nullptr) {
     const QuerySet& mask = tracker().cl_table().Mask(a, b);
-    bitset_ops_ += TupleStore::Join(
+    *ops += TupleStore::Join(
         *sa, *sb, mask,
         [&](const spe::Row& left, const spe::Row& right, QuerySet tags) {
           JoinedTuple t;
@@ -199,11 +200,14 @@ void SharedJoin::TriggerWindows(TimestampMs start, TimestampMs end,
     sides_[1].NoteRead(s.index);
   }
   const TimestampMs result_time = end - 1;
+  int64_t ops = 0;
+  int64_t computed_pairs = 0;
   for (const SliceInfo& a : slices) {
     for (const SliceInfo& b : slices) {
       bool computed = false;
       const std::vector<JoinedTuple>& tuples =
-          MemoFor(a.index, b.index, &computed);
+          MemoFor(a.index, b.index, &computed, &ops);
+      if (computed) ++computed_pairs;
       if (metrics_on()) {
         // The first toucher pays for the pair's computation; every other
         // query (in this trigger and later ones) reuses the memo.
@@ -217,7 +221,7 @@ void SharedJoin::TriggerWindows(TimestampMs start, TimestampMs end,
       }
       for (const JoinedTuple& t : tuples) {
         QuerySet shared_tags = t.tags & active_bits;
-        ++bitset_ops_;
+        ++ops;
         if (shared_tags.Any()) {
           out->EmitRecord(result_time, t.row, std::move(shared_tags));
         }
@@ -235,6 +239,10 @@ void SharedJoin::TriggerWindows(TimestampMs start, TimestampMs end,
       }
     }
   }
+  bitset_ops_.Add(ops);
+  pairs_computed_.Add(computed_pairs);
+  pairs_reused_.Add(static_cast<int64_t>(slices.size() * slices.size()) -
+                    computed_pairs);
 }
 
 void SharedJoin::OnSlicesEvicted(const std::vector<int64_t>& indices) {
@@ -257,8 +265,8 @@ Status SharedJoin::SnapshotState(spe::StateWriter* writer) {
   sides_[0].Serialize(writer);
   sides_[1].Serialize(writer);
   // The memo is a cache: recomputed on demand after restore.
-  writer->WriteI64(pairs_computed_);
-  writer->WriteI64(records_late_);
+  writer->WriteI64(pairs_computed_.Get());
+  writer->WriteI64(records_late_.Get());
   return Status::OK();
 }
 
@@ -267,8 +275,8 @@ Status SharedJoin::RestoreState(spe::StateReader* reader) {
   memo_.Clear();
   ASTREAM_RETURN_IF_ERROR(sides_[0].Restore(reader));
   ASTREAM_RETURN_IF_ERROR(sides_[1].Restore(reader));
-  pairs_computed_ = reader->ReadI64();
-  records_late_ = reader->ReadI64();
+  pairs_computed_.Set(reader->ReadI64());
+  records_late_.Set(reader->ReadI64());
   if (!reader->Ok()) return Status::Internal("bad shared-join snapshot");
   // Restored state is fully resident; shed back down to budget before
   // replay resumes.

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/owned_counter.h"
 #include "core/arrangement.h"
 #include "core/shared_operator.h"
 
@@ -37,17 +38,18 @@ class SharedJoin : public SharedWindowedOperator, public storage::SpillClient {
   Status RestoreState(spe::StateReader* reader) override;
 
   /// Observability / Fig. 18 & micro benches.
-  int64_t pairs_computed() const { return pairs_computed_; }
-  int64_t pairs_reused() const { return pairs_reused_; }
-  int64_t bitset_ops() const { return bitset_ops_; }
-  int64_t records_late() const { return records_late_; }
+  /// Any thread may read these while the task thread runs.
+  int64_t pairs_computed() const { return pairs_computed_.Get(); }
+  int64_t pairs_reused() const { return pairs_reused_.Get(); }
+  int64_t bitset_ops() const { return bitset_ops_.Get(); }
+  int64_t records_late() const { return records_late_.Get(); }
   /// Arena bytes backing all live slice stores (the state.arena_bytes
   /// gauge). Refreshed by the task thread after inserts and evictions.
-  int64_t state_arena_bytes() const { return state_arena_bytes_; }
+  int64_t state_arena_bytes() const { return state_arena_bytes_.Get(); }
   /// Times the access-aware policy evicted something other than the
   /// coldest slice — each one a reload a standing query did not pay
   /// (the storage.reload_saves gauge).
-  int64_t reload_saves() const { return reload_saves_; }
+  int64_t reload_saves() const { return reload_saves_.Get(); }
 
   /// storage::SpillClient: spills the coldest (lowest-index) slice of both
   /// sides plus the CL deltas at or below it. Governor-invoked only, on
@@ -60,14 +62,17 @@ class SharedJoin : public SharedWindowedOperator, public storage::SpillClient {
                       spe::Collector* out) override;
   void OnSlicesEvicted(const std::vector<int64_t>& indices) override;
   void OnModeSwitch(StoreMode mode) override;
-  int64_t ResidentStateBytes() const override { return state_arena_bytes_; }
+  int64_t ResidentStateBytes() const override {
+    return state_arena_bytes_.Get();
+  }
 
  private:
   /// Memoized join of A-slice `a` with B-slice `b` (computed on first use).
   /// `*computed` reports whether this call did the work or hit the memo,
-  /// so callers can attribute reuse to the queries they serve.
+  /// so callers can attribute reuse to the queries they serve; the join's
+  /// bitset operations are added to `*ops`.
   const std::vector<JoinedTuple>& MemoFor(int64_t a, int64_t b,
-                                          bool* computed);
+                                          bool* computed, int64_t* ops);
   /// Recomputes arena/resident byte totals and reports them (with the
   /// coldest resident slice's window end) to the governor, if any.
   void RefreshArenaBytes();
@@ -80,12 +85,12 @@ class SharedJoin : public SharedWindowedOperator, public storage::SpillClient {
   /// (a-slice, b-slice) -> joined tuples with combined, CL-masked tags.
   JoinMemo memo_;
 
-  int64_t pairs_computed_ = 0;
-  int64_t pairs_reused_ = 0;
-  int64_t bitset_ops_ = 0;
-  int64_t records_late_ = 0;
-  int64_t state_arena_bytes_ = 0;
-  int64_t reload_saves_ = 0;
+  OwnedCounter pairs_computed_;
+  OwnedCounter pairs_reused_;
+  OwnedCounter bitset_ops_;
+  OwnedCounter records_late_;
+  OwnedCounter state_arena_bytes_;
+  OwnedCounter reload_saves_;
   // Scratch query-set reused across the tuples of one batch.
   QuerySet scratch_tags_;
 };

@@ -6,46 +6,34 @@
 #include "common/logging.h"
 
 namespace astream::core {
-namespace {
-
-bool DefaultHosts(StreamSide side, const ActiveQuery& q) {
-  if (side == StreamSide::kA) return true;
-  return q.desc.HasJoin();
-}
-
-}  // namespace
-
-const std::vector<Predicate> SharedSelection::kNoPredicates;
 
 SharedSelection::SharedSelection(Config config)
-    : config_(std::move(config)) {
-  if (!config_.hosts) {
-    const StreamSide side = config_.side;
-    config_.hosts = [side](const ActiveQuery& q) {
-      return DefaultHosts(side, q);
-    };
-  }
+    : config_(std::move(config)) {}
+
+Status SharedSelection::Open(const spe::OperatorContext& ctx) {
+  ASTREAM_RETURN_IF_ERROR(spe::Operator::Open(ctx));
   if (config_.metrics != nullptr && config_.metrics->enabled()) {
     metrics_on_ = true;
     meter_on_ = config_.meter_costs;
+    // Stage `shared-selection-<x>` counts into `selection.<x>.*`.
     const std::string prefix =
-        config_.stream >= 0
-            ? "selection.s" + std::to_string(config_.stream) + "."
-            : (config_.side == StreamSide::kA ? "selection.a."
-                                              : "selection.b.");
+        "selection." +
+        ctx.stage_name.substr(ctx.stage_name.rfind('-') + 1) + ".";
     m_records_in_ = config_.metrics->GetCounter(prefix + "records_in");
     m_records_out_ = config_.metrics->GetCounter(prefix + "records_out");
     m_records_dropped_ =
         config_.metrics->GetCounter(prefix + "records_dropped");
   }
+  return Status::OK();
 }
 
 void SharedSelection::RebuildIndex() {
-  hosted_mask_ = table_.SlotsWhere(config_.hosts);
+  hosted_mask_ =
+      table_.SlotsWhere([this](const ActiveQuery& q) { return Hosts(q); });
   if (meter_on_) {
     slot_series_.assign(table_.num_slots(), nullptr);
     table_.ForEach([&](const ActiveQuery& q) {
-      if (config_.hosts(q)) {
+      if (Hosts(q)) {
         slot_series_[q.slot] = config_.metrics->SeriesFor(q.id);
       }
     });
@@ -54,8 +42,8 @@ void SharedSelection::RebuildIndex() {
   if (!config_.use_predicate_index) return;
   std::map<Predicate, QuerySet> distinct;
   table_.ForEach([&](const ActiveQuery& q) {
-    if (!config_.hosts(q)) return;
-    for (const Predicate& p : PredicatesOf(q)) {
+    if (!Hosts(q)) return;
+    for (const Predicate& p : q.desc.SelectOn(config_.stream)) {
       distinct[p].Set(q.slot);
     }
   });
@@ -86,7 +74,8 @@ void SharedSelection::ComputeTagsInto(const spe::Row& row,
   }
   tags->ClearAll();
   table_.ForEach([&](const ActiveQuery& q) {
-    if (config_.hosts(q) && EvalConjunction(PredicatesOf(q), row)) {
+    if (Hosts(q) &&
+        EvalConjunction(q.desc.SelectOn(config_.stream), row)) {
       tags->Set(q.slot);
     }
   });

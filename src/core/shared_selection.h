@@ -2,17 +2,12 @@
 #define ASTREAM_CORE_SHARED_SELECTION_H_
 
 #include <atomic>
-#include <functional>
 
 #include "core/changelog.h"
 #include "obs/metrics.h"
 #include "spe/operator.h"
 
 namespace astream::core {
-
-/// Which side of a two-stream topology a shared selection serves: side A
-/// evaluates each query's `select_a` predicates, side B `select_b`.
-enum class StreamSide : uint8_t { kA, kB };
 
 /// The shared selection operator (Sec. 3.1.2): evaluates the predicates of
 /// every active query against each tuple and appends the resulting
@@ -21,15 +16,10 @@ enum class StreamSide : uint8_t { kA, kB };
 class SharedSelection : public spe::Operator {
  public:
   struct Config {
-    StreamSide side = StreamSide::kA;
-    /// Multiway topologies (DESIGN.md §15): when >= 0, this selection
-    /// serves external stream `stream` — a kMultiJoin query's predicates
-    /// come from its leg on that stream (other kinds fall back to the
-    /// side-based select_a/select_b). Counters use `selection.s<k>.*`.
-    int stream = -1;
-    /// Which queries tag on this stream (e.g. side B only hosts queries
-    /// with a join). Defaults: side A hosts all, side B hosts joins.
-    std::function<bool(const ActiveQuery&)> hosts;
+    /// The external stream this selection serves: every query that reads
+    /// it (QueryDescriptor::UsesStream) tags with its predicates on it
+    /// (QueryDescriptor::SelectOn).
+    int stream = 0;
     /// When true, per-tuple query-set generation time is accumulated
     /// (Fig. 18 overhead breakdown).
     bool measure_overhead = false;
@@ -39,7 +29,8 @@ class SharedSelection : public spe::Operator {
     /// paper's future-work direction of grouping similar queries).
     /// When false, every query's conjunction is evaluated independently.
     bool use_predicate_index = true;
-    /// Named-counter sink (`selection.<side>.records_{in,out,dropped}`).
+    /// Named-counter sink (`selection.<x>.records_{in,out,dropped}` for
+    /// stage `shared-selection-<x>`; registered at Open).
     /// The selection deliberately records NO per-query series: attributing
     /// a tuple would mean walking its query-set per record, which breaks
     /// the hot-path budget; per-query emission is attributed at the router
@@ -54,6 +45,7 @@ class SharedSelection : public spe::Operator {
 
   explicit SharedSelection(Config config);
 
+  Status Open(const spe::OperatorContext& ctx) override;
   void ProcessRecord(int port, spe::Record record,
                      spe::Collector* out) override;
   /// Vectorized path: evaluates all predicates over the batch reusing one
@@ -77,18 +69,9 @@ class SharedSelection : public spe::Operator {
   size_t IndexSize() const { return index_.size(); }
 
  private:
-  const std::vector<Predicate>& PredicatesOf(const ActiveQuery& q) const {
-    if (config_.stream >= 0 && q.desc.kind == QueryKind::kMultiJoin) {
-      if (const JoinInput* in = q.desc.InputFor(config_.stream)) {
-        return in->select;
-      }
-      return kNoPredicates;
-    }
-    return config_.side == StreamSide::kA ? q.desc.select_a
-                                          : q.desc.select_b;
+  bool Hosts(const ActiveQuery& q) const {
+    return q.desc.UsesStream(config_.stream);
   }
-
-  static const std::vector<Predicate> kNoPredicates;
 
   QuerySet ComputeTags(const spe::Row& row) const;
   /// Builds the tags into `tags`, reusing its capacity (batch hot path).
@@ -108,7 +91,7 @@ class SharedSelection : public spe::Operator {
 
   // Shared predicate index: distinct predicate -> bits of the queries
   // whose conjunction contains it; `hosted_mask_` covers all queries that
-  // tag on this side (those with an empty conjunction always match).
+  // tag on this stream (those with an empty conjunction always match).
   struct IndexedPredicate {
     Predicate predicate;
     QuerySet queries;

@@ -40,8 +40,8 @@ class BaselineSut : public StreamSut {
   ~BaselineSut() override;
 
   Status Start() override;
-  core::PushResult PushA(TimestampMs event_time, spe::Row row) override;
-  core::PushResult PushB(TimestampMs event_time, spe::Row row) override;
+  core::PushResult Push(int stream, TimestampMs event_time,
+                        spe::Row row) override;
   void PushWatermark(TimestampMs watermark) override;
   Result<core::QueryId> Submit(const core::QueryDescriptor& desc) override;
   Status Cancel(core::QueryId id) override;
@@ -61,7 +61,7 @@ class BaselineSut : public StreamSut {
     core::QueryId id = -1;
     core::QueryDescriptor desc;
     std::shared_ptr<spe::Runner> runner;
-    bool has_b_input = false;
+    int num_inputs = 1;  // external input streams of its pipeline
   };
 
   struct DeployRequest {

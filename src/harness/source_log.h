@@ -1,12 +1,10 @@
 #ifndef ASTREAM_HARNESS_SOURCE_LOG_H_
 #define ASTREAM_HARNESS_SOURCE_LOG_H_
 
-#include <algorithm>
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "core/astream.h"
+#include "core/query.h"
 
 namespace astream::harness {
 
@@ -24,13 +22,13 @@ class SourceLog {
  public:
   struct Entry {
     enum Kind {
-      kRecordA,
-      kRecordB,
+      kRecord,
       kWatermark,
       kSubmit,      // an accepted ad-hoc query submission
       kCancel,      // an accepted cancellation
       kCheckpoint,  // a triggered checkpoint barrier
-    } kind = kRecordA;
+    } kind = kRecord;
+    int stream = 0;  // kRecord: the input stream it was pushed into
     TimestampMs time = 0;
     spe::Row row;
     // Control-plane fields (kSubmit/kCancel/kCheckpoint).
@@ -41,16 +39,10 @@ class SourceLog {
     int64_t offset = 0;           // kCheckpoint: log end offset at barrier
   };
 
-  void LogA(TimestampMs time, spe::Row row) {
+  void LogRecord(int stream, TimestampMs time, spe::Row row) {
     Entry e;
-    e.kind = Entry::kRecordA;
-    e.time = time;
-    e.row = std::move(row);
-    entries_.push_back(std::move(e));
-  }
-  void LogB(TimestampMs time, spe::Row row) {
-    Entry e;
-    e.kind = Entry::kRecordB;
+    e.kind = Entry::kRecord;
+    e.stream = stream;
     e.time = time;
     e.row = std::move(row);
     entries_.push_back(std::move(e));
@@ -97,41 +89,6 @@ class SourceLog {
     return truncated_ + static_cast<int64_t>(entries_.size());
   }
 
-  /// Re-pushes *data* entries [from, EndOffset()) into `job`. `from` is an
-  /// absolute offset; it must not be below first_offset(). Control-plane
-  /// entries are skipped — SupervisedJob's replay handles those (they need
-  /// clock pinning and id assertions the raw log cannot do).
-  void Replay(core::AStreamJob* job, int64_t from) const {
-    const auto start =
-        static_cast<size_t>(std::max<int64_t>(0, from - truncated_));
-    for (size_t i = start; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      switch (e.kind) {
-        case Entry::kRecordA:
-          job->PushA(e.time, e.row);
-          break;
-        case Entry::kRecordB:
-          job->PushB(e.time, e.row);
-          break;
-        case Entry::kWatermark:
-          job->PushWatermark(e.time);
-          break;
-        case Entry::kSubmit:
-        case Entry::kCancel:
-        case Entry::kCheckpoint:
-          break;
-      }
-    }
-  }
-
-  size_t SizeBytes() const {
-    size_t n = 0;
-    for (const Entry& e : entries_) {
-      n += sizeof(Entry) + e.row.NumColumns() * sizeof(spe::Value);
-    }
-    return n;
-  }
-
   /// Drops entries below the given offset (safe once a checkpoint at or
   /// beyond it completed — Kafka retention equivalent). Offsets remain
   /// absolute.
@@ -159,88 +116,6 @@ class SourceLog {
  private:
   std::vector<Entry> entries_;  // index i holds offset truncated_ + i
   int64_t truncated_ = 0;
-};
-
-/// An AStreamJob wired to a SourceLog: pushes are logged, checkpoints
-/// record the input offset, and Recover() stands up a fresh job from the
-/// latest complete checkpoint and replays the tail — the full
-/// exactly-once recovery loop of Sec. 3.3 in one object.
-///
-/// Single control thread, like AStreamJob itself.
-class RecoverableJob {
- public:
-  explicit RecoverableJob(core::AStreamJob::Options options)
-      : options_(options) {}
-
-  Status Start() {
-    auto job = core::AStreamJob::Create(options_);
-    ASTREAM_RETURN_IF_ERROR(job.status());
-    job_ = std::move(job).value();
-    return job_->Start();
-  }
-
-  core::PushResult PushA(TimestampMs t, spe::Row row) {
-    log_.LogA(t, row);
-    return job_->PushA(t, std::move(row));
-  }
-  core::PushResult PushB(TimestampMs t, spe::Row row) {
-    log_.LogB(t, row);
-    return job_->PushB(t, std::move(row));
-  }
-  void PushWatermark(TimestampMs wm) {
-    log_.LogWatermark(wm);
-    job_->PushWatermark(wm);
-  }
-
-  /// Takes a checkpoint and remembers the source offset it covers.
-  int64_t Checkpoint() {
-    const int64_t offset = log_.EndOffset();
-    const int64_t id = job_->TriggerCheckpoint();
-    checkpoint_offsets_[id] = offset;
-    return id;
-  }
-
-  /// Simulates a crash + recovery: discards the running job, builds a
-  /// fresh one, restores the latest complete checkpoint (operators AND
-  /// session), and replays the input tail from the logged offset.
-  Status Recover() {
-    auto checkpoint = job_->checkpoints().LatestComplete();
-    if (checkpoint == nullptr) {
-      return Status::FailedPrecondition("no complete checkpoint");
-    }
-    auto offset_it = checkpoint_offsets_.find(checkpoint->id);
-    if (offset_it == checkpoint_offsets_.end()) {
-      return Status::Internal("checkpoint has no recorded source offset");
-    }
-    // Keep the old job's checkpoint store alive through recovery.
-    const auto snapshot = *checkpoint;
-    core::AStreamJob::ResultCallback callback = callback_;
-    job_->Stop();
-
-    auto job = core::AStreamJob::Create(options_);
-    ASTREAM_RETURN_IF_ERROR(job.status());
-    job_ = std::move(job).value();
-    ASTREAM_RETURN_IF_ERROR(job_->Start());
-    if (callback) job_->SetResultCallback(callback);
-    ASTREAM_RETURN_IF_ERROR(job_->RestoreFrom(snapshot));
-    log_.Replay(job_.get(), offset_it->second);
-    return Status::OK();
-  }
-
-  void SetResultCallback(core::AStreamJob::ResultCallback callback) {
-    callback_ = callback;
-    job_->SetResultCallback(std::move(callback));
-  }
-
-  core::AStreamJob* job() { return job_.get(); }
-  SourceLog& log() { return log_; }
-
- private:
-  core::AStreamJob::Options options_;
-  std::unique_ptr<core::AStreamJob> job_;
-  core::AStreamJob::ResultCallback callback_;
-  SourceLog log_;
-  std::map<int64_t, int64_t> checkpoint_offsets_;
 };
 
 }  // namespace astream::harness

@@ -110,29 +110,18 @@ Status SupervisedJob::EnsureHealthyLocked() {
   return supervisor_->RecoverNow(job_->Health());
 }
 
-core::PushResult SupervisedJob::PushA(TimestampMs t, spe::Row row) {
+core::PushResult SupervisedJob::Push(int stream, TimestampMs t,
+                                     spe::Row row) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!started_ || finished_ || !EnsureHealthyLocked().ok()) {
+  if (!started_ || finished_ || !EnsureHealthyLocked().ok() || stream < 0 ||
+      stream >= job_->NumInputStreams()) {
     return core::PushResult::kShutdown;
   }
-  log_.LogA(t, row);
-  core::PushResult r = job_->PushA(t, std::move(row));
+  log_.LogRecord(stream, t, row);
+  core::PushResult r = job_->Push(stream, t, std::move(row));
   if (r == core::PushResult::kShutdown && job_->Failed()) {
     // The entry is logged: recovery replays it, so the push succeeded
     // from the caller's point of view.
-    if (EnsureHealthyLocked().ok()) r = core::PushResult::kAccepted;
-  }
-  return r;
-}
-
-core::PushResult SupervisedJob::PushB(TimestampMs t, spe::Row row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!started_ || finished_ || !EnsureHealthyLocked().ok()) {
-    return core::PushResult::kShutdown;
-  }
-  log_.LogB(t, row);
-  core::PushResult r = job_->PushB(t, std::move(row));
-  if (r == core::PushResult::kShutdown && job_->Failed()) {
     if (EnsureHealthyLocked().ok()) r = core::PushResult::kAccepted;
   }
   return r;
@@ -304,12 +293,8 @@ Status SupervisedJob::ReplayLocked(int64_t from, int64_t restored_id) {
        off < log_.EndOffset(); ++off) {
     const SourceLog::Entry& e = log_.At(off);
     switch (e.kind) {
-      case SourceLog::Entry::kRecordA:
-        job_->PushA(e.time, e.row);
-        ++replayed_rows_;
-        break;
-      case SourceLog::Entry::kRecordB:
-        job_->PushB(e.time, e.row);
+      case SourceLog::Entry::kRecord:
+        job_->Push(e.stream, e.time, e.row);
         ++replayed_rows_;
         break;
       case SourceLog::Entry::kWatermark:

@@ -76,8 +76,7 @@ class SupervisedJob {
   /// Data input; logged, then pushed. A push refused because the job just
   /// failed triggers recovery inline — the entry is already in the log, so
   /// the replay delivers it and the push reports accepted.
-  core::PushResult PushA(TimestampMs t, spe::Row row);
-  core::PushResult PushB(TimestampMs t, spe::Row row);
+  core::PushResult Push(int stream, TimestampMs t, spe::Row row);
   void PushWatermark(TimestampMs wm);
 
   /// Ad-hoc churn; logged with the assigned id + wall time for replay.

@@ -18,10 +18,11 @@ class StreamSut {
 
   virtual Status Start() = 0;
 
-  /// Data input in event-time order per stream. The result distinguishes
-  /// clean acceptance from clamped event times and refused tuples.
-  virtual core::PushResult PushA(TimestampMs event_time, spe::Row row) = 0;
-  virtual core::PushResult PushB(TimestampMs event_time, spe::Row row) = 0;
+  /// Data input into `stream`, in event-time order per stream. The result
+  /// distinguishes clean acceptance from clamped event times and refused
+  /// tuples.
+  virtual core::PushResult Push(int stream, TimestampMs event_time,
+                                spe::Row row) = 0;
   virtual void PushWatermark(TimestampMs watermark) = 0;
 
   /// Asynchronous query creation / deletion (acknowledged later).

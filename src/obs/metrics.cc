@@ -152,12 +152,27 @@ void MergeInto(Histogram::Snapshot* into, const Histogram::Snapshot& from) {
   }
 }
 
+namespace {
+
+/// Fill-fraction gauges: the deployment-wide value is the worst shard's.
+bool IsOccupancy(const std::string& name) {
+  static const std::string kSuffix = ".ring_occupancy_bp";
+  return name.size() > kSuffix.size() &&
+         name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                      kSuffix) == 0;
+}
+
+}  // namespace
+
 MetricsRegistry::Snapshot MergeSnapshots(
     const std::vector<MetricsRegistry::Snapshot>& snapshots) {
   MetricsRegistry::Snapshot merged;
   for (const MetricsRegistry::Snapshot& s : snapshots) {
     for (const auto& [name, v] : s.counters) merged.counters[name] += v;
-    for (const auto& [name, v] : s.gauges) merged.gauges[name] += v;
+    for (const auto& [name, v] : s.gauges) {
+      int64_t& into = merged.gauges[name];
+      into = IsOccupancy(name) ? std::max(into, v) : into + v;
+    }
     for (const auto& [name, h] : s.histograms) {
       MergeInto(&merged.histograms[name], h);
     }
@@ -174,7 +189,17 @@ MetricsRegistry::Snapshot MergeSnapshots(
       MergeInto(&into.deploy_latency_ms, q.deploy_latency_ms);
     }
   }
+  auto ratio = merged.gauges.find("storage.compressed_ratio_bp");
+  if (ratio != merged.gauges.end()) {
+    ratio->second = CompressedRatioBp(
+        merged.gauges["storage.spilled_disk_bytes"],
+        merged.gauges["storage.spilled_raw_bytes"]);
+  }
   return merged;
+}
+
+int64_t CompressedRatioBp(int64_t disk_bytes, int64_t raw_bytes) {
+  return raw_bytes > 0 ? disk_bytes * 10000 / raw_bytes : 10000;
 }
 
 }  // namespace astream::obs

@@ -177,11 +177,19 @@ void MergeInto(Histogram::Snapshot* into, const Histogram::Snapshot& from);
 
 /// Merges per-shard registry snapshots into one coherent view: counters,
 /// gauges, and per-query series add across shards; histograms merge
-/// bucket-wise. Gauges are summed because every AStream gauge is a size
-/// or byte count (queue depths, arena bytes, retained checkpoints) where
-/// the deployment-wide value is the total.
+/// bucket-wise. Gauges are summed because nearly every AStream gauge is a
+/// size or byte count (queue depths, arena bytes, retained checkpoints)
+/// whose deployment-wide value is the total. The two ratio gauges are the
+/// exceptions: `edge.<stage>.ring_occupancy_bp` merges by max (the
+/// fullest ring), and `storage.compressed_ratio_bp` is recomputed from
+/// the summed `storage.spilled_{disk,raw}_bytes`.
 MetricsRegistry::Snapshot MergeSnapshots(
     const std::vector<MetricsRegistry::Snapshot>& snapshots);
+
+/// On-disk over raw bytes of everything spilled, in basis points (10000 =
+/// stored uncompressed, also when nothing was spilled yet): the
+/// `storage.compressed_ratio_bp` gauge.
+int64_t CompressedRatioBp(int64_t disk_bytes, int64_t raw_bytes);
 
 /// Per-operator-instance memo of query-id -> series pointer. Instances are
 /// single-threaded, so the map needs no lock; only a cache miss touches

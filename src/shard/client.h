@@ -24,8 +24,7 @@ namespace astream {
 /// rings and engines, with merged outputs/metrics and live resharding
 /// (MoveShard/SplitShard) behind the same surface.
 ///
-/// Single control thread, like AStreamJob. `Push(StreamId, ...)` is the
-/// generic data surface; PushA/PushB survive as deprecated compat shims.
+/// Single control thread, like AStreamJob.
 class Client {
  public:
   using TopologyKind = core::AStreamJob::TopologyKind;
@@ -44,15 +43,6 @@ class Client {
   }
   void PushWatermark(TimestampMs watermark) {
     router_->PushWatermark(watermark);
-  }
-
-  /// Deprecated compat shims for the old hardwired pair; new code calls
-  /// Push(StreamId::kA / StreamId::kB, ...).
-  core::PushResult PushA(TimestampMs event_time, spe::Row row) {
-    return Push(StreamId::kA, event_time, std::move(row));
-  }
-  core::PushResult PushB(TimestampMs event_time, spe::Row row) {
-    return Push(StreamId::kB, event_time, std::move(row));
   }
 
   Result<core::QueryId> Submit(const core::QueryDescriptor& desc) {

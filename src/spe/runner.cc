@@ -466,7 +466,7 @@ bool SyncRunner::Push(int input_index, StreamElement element) {
   return true;
 }
 
-bool SyncRunner::PushBatch(int input_index, ElementBatch batch) {
+bool SyncRunner::Push(int input_index, ElementBatch batch) {
   if (cancelled_) return false;
   const ExternalInputSpec& ext = spec_.external_inputs()[input_index];
   const int par = static_cast<int>(instances_[ext.target_stage].size());
@@ -865,7 +865,7 @@ bool ThreadedRunner::Push(int input_index, StreamElement element) {
   return true;
 }
 
-bool ThreadedRunner::PushBatch(int input_index, ElementBatch batch) {
+bool ThreadedRunner::Push(int input_index, ElementBatch batch) {
   if (cancelled_.load(std::memory_order_relaxed) ||
       poisoned_.load(std::memory_order_acquire)) {
     return false;

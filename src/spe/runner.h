@@ -152,7 +152,7 @@ class Runner {
   /// channel push each); any control element inside the batch flushes the
   /// sub-batches first and is then broadcast, so it stays a batch boundary.
   /// Returns false after the job was cancelled.
-  virtual bool PushBatch(int input_index, ElementBatch batch) = 0;
+  virtual bool Push(int input_index, ElementBatch batch) = 0;
 
   /// Pushes a control marker into every external input. All markers must
   /// be injected in one global order (they are serialized internally).
@@ -205,7 +205,7 @@ class SyncRunner : public Runner {
 
   Status Start() override;
   bool Push(int input_index, StreamElement element) override;
-  bool PushBatch(int input_index, ElementBatch batch) override;
+  bool Push(int input_index, ElementBatch batch) override;
   void InjectMarker(const ControlMarker& marker) override;
   void FinishAndWait() override;
   void Cancel() override;
@@ -288,7 +288,7 @@ class ThreadedRunner : public Runner {
 
   Status Start() override;
   bool Push(int input_index, StreamElement element) override;
-  bool PushBatch(int input_index, ElementBatch batch) override;
+  bool Push(int input_index, ElementBatch batch) override;
   void InjectMarker(const ControlMarker& marker) override;
   void FinishAndWait() override;
   void Cancel() override;

@@ -189,8 +189,8 @@ Result<ScenarioReport> ScenarioRunner::Run() {
     return iso != nullptr ? iso->Cancel(id) : job->Cancel(id);
   };
   const auto push = [&](TimestampMs t, spe::Row row) {
-    return iso != nullptr ? iso->PushA(t, std::move(row))
-                          : job->PushA(t, std::move(row));
+    return iso != nullptr ? iso->Push(0, t, std::move(row))
+                          : job->Push(0, t, std::move(row));
   };
   const auto push_watermark = [&](TimestampMs wm) {
     if (iso != nullptr) {

@@ -60,13 +60,13 @@ std::map<QueryId, RowMultiset> RunHeterogeneousAggFleet(
   h.Submit(AggQuery(spe::WindowSpec::Tumbling(20), spe::AggKind::kCount), 0);
   h.Flush(0);
   for (int i = 0; i < 100; ++i) {
-    h.PushA(2 + i * 2, Row{i % 5, i});  // up to t = 200
+    h.Push(0, 2 + i * 2, Row{i % 5, i});  // up to t = 200
   }
   h.Watermark(150);
   h.Delete(doomed, 210);  // churn: the fallback query drains mid-stream
   h.Create(AggQuery(spe::WindowSpec::Sliding(50, 10)), 220);  // late joiner
   for (int i = 0; i < 100; ++i) {
-    h.PushA(222 + i * 2, Row{i % 5, i + 100});
+    h.Push(0, 222 + i * 2, Row{i % 5, i + 100});
   }
   h.Watermark(500);
   if (stats != nullptr) *stats = h.job()->CollectStats();
@@ -107,14 +107,14 @@ std::map<QueryId, RowMultiset> RunJoinFleet(const OptionsMutator& mutate,
     return Row(std::move(values));
   };
   for (int i = 0; i < 80; ++i) {  // up to t ≈ 240
-    h.PushA(2 + i * 3, make_row(i % 4, i));
-    h.PushB(3 + i * 3, make_row(i % 4, i + 500));
+    h.Push(0, 2 + i * 3, make_row(i % 4, i));
+    h.Push(1, 3 + i * 3, make_row(i % 4, i + 500));
   }
   h.Watermark(150);
   h.Delete(doomed, 250);
   for (int i = 0; i < 40; ++i) {
-    h.PushA(260 + i * 3, make_row(i % 4, i));
-    h.PushB(261 + i * 3, make_row(i % 4, i + 900));
+    h.Push(0, 260 + i * 3, make_row(i % 4, i));
+    h.Push(1, 261 + i * 3, make_row(i % 4, i + 900));
   }
   h.Watermark(500);
   if (spills != nullptr) {
@@ -183,7 +183,7 @@ std::map<QueryId, RowMultiset> RunAggWithOptionalCrash(bool crash) {
     for (int i = from; i < to; ++i) {
       const TimestampMs t = 2 + i * 2;
       clock.SetMs(t);
-      j->PushA(t, Row{i % 5, i});
+      j->Push(0, t, Row{i % 5, i});
       if (i % 25 == 24) j->PushWatermark(t - 10);
     }
   };
@@ -247,7 +247,7 @@ std::map<QueryId, RowMultiset> RunThreadedFleet(bool threaded, int par) {
   for (int i = 0; i < 300; ++i) {
     const TimestampMs t = 2 + i * 2;
     clock.SetMs(t);
-    job->PushA(t, Row{i % 7, i});
+    job->Push(0, t, Row{i % 7, i});
     if (i % 40 == 39) job->PushWatermark(t - 10);
   }
   clock.SetMs(700);

@@ -30,14 +30,14 @@ using spe::Row;
 struct ChaosScript {
   struct Step {
     enum What {
-      kPushA,
-      kPushB,
+      kPush,
       kWatermark,
       kSubmit,
       kCancel,
       kCheckpoint,
     };
-    What what = kPushA;
+    What what = kPush;
+    int stream = 0;  // kPush
     TimestampMs time = 0;
     Row row;
     QueryDescriptor desc;
@@ -107,8 +107,7 @@ ChaosScript MakeChaosScript(bool wide_burst = false) {
     ChaosScript::Step s;
     s.time = t;
     s.row = Row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
-    s.what = rng.Bernoulli(0.5) ? ChaosScript::Step::kPushB
-                                : ChaosScript::Step::kPushA;
+    s.stream = rng.Bernoulli(0.5) ? 1 : 0;
     script.steps.push_back(std::move(s));
     if (wide_burst && i >= 40 && i < 440) {
       for (int k = 0; k < 4; ++k) {
@@ -118,8 +117,7 @@ ChaosScript MakeChaosScript(bool wide_burst = false) {
         ChaosScript::Step w;
         w.time = t;
         w.row = Row(std::move(wide));
-        w.what = (k % 2 == 0) ? ChaosScript::Step::kPushA
-                              : ChaosScript::Step::kPushB;
+        w.stream = k % 2;
         script.steps.push_back(std::move(w));
       }
     }
@@ -175,11 +173,8 @@ std::map<QueryId, RowMultiset> RunReference(const ChaosScript& script,
   for (const auto& step : script.steps) {
     clock.SetMs(step.time);
     switch (step.what) {
-      case ChaosScript::Step::kPushA:
-        job->PushA(step.time, step.row);
-        break;
-      case ChaosScript::Step::kPushB:
-        job->PushB(step.time, step.row);
+      case ChaosScript::Step::kPush:
+        job->Push(step.stream, step.time, step.row);
         break;
       case ChaosScript::Step::kWatermark:
         job->PushWatermark(step.time);
@@ -307,11 +302,8 @@ ChaosOutcome RunChaos(const ChaosScript& script, uint64_t seed,
     for (const auto& step : script.steps) {
       clock.SetMs(step.time);
       switch (step.what) {
-        case ChaosScript::Step::kPushA:
-          job.PushA(step.time, step.row);
-          break;
-        case ChaosScript::Step::kPushB:
-          job.PushB(step.time, step.row);
+        case ChaosScript::Step::kPush:
+          job.Push(step.stream, step.time, step.row);
           break;
         case ChaosScript::Step::kWatermark:
           job.PushWatermark(step.time);

@@ -81,7 +81,7 @@ TEST(CheckpointDedupTest, SharedRepSerializedOncePlusRefs) {
     values[1] = 5;
     const Row row(std::move(values));
     for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(Accepted(job->PushA(2 + i, row)));
+      ASSERT_TRUE(Accepted(job->Push(0, 2 + i, row)));
     }
   });
   const int64_t distinct_bytes = RunAndMeasure(1, [&](AStreamJob* job) {
@@ -89,7 +89,7 @@ TEST(CheckpointDedupTest, SharedRepSerializedOncePlusRefs) {
       std::vector<Value> values(kCols, i);
       values[0] = 3;
       values[1] = 5;
-      ASSERT_TRUE(Accepted(job->PushA(2 + i, Row(std::move(values)))));
+      ASSERT_TRUE(Accepted(job->Push(0, 2 + i, Row(std::move(values)))));
     }
   });
   // Distinct payloads: ~n * kCols * 8 bytes. Shared: one payload + refs.
@@ -109,9 +109,9 @@ TEST(CheckpointDedupTest, BytesStayFlatAsFanOutGrows) {
       values[1] = 5;
       const Row row(std::move(values));
       if (i % 2 == 0) {
-        ASSERT_TRUE(Accepted(job->PushA(2 + i, row)));
+        ASSERT_TRUE(Accepted(job->Push(0, 2 + i, row)));
       } else {
-        ASSERT_TRUE(Accepted(job->PushB(2 + i, row)));
+        ASSERT_TRUE(Accepted(job->Push(1, 2 + i, row)));
       }
     }
   };

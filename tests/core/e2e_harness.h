@@ -95,9 +95,7 @@ class E2EHarness {
     Flush(at);
   }
 
-  void PushA(TimestampMs t, spe::Row row) { PushImpl(0, t, std::move(row)); }
-  void PushB(TimestampMs t, spe::Row row) { PushImpl(1, t, std::move(row)); }
-  /// Generic stream push (kMultiway topologies: streams 0..num_streams-1).
+  /// Pushes into `stream` (0..NumInputStreams()-1).
   void Push(int stream, TimestampMs t, spe::Row row) {
     PushImpl(stream, t, std::move(row));
   }

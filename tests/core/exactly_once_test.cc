@@ -23,11 +23,12 @@ class ExactlyOnceTest : public ::testing::Test {
  public:
   /// One scripted element of the experiment (the "source log").
   struct LogEntry {
-    enum Kind { kPushA, kPushB, kWatermark, kSubmit, kCancel } kind;
+    enum Kind { kPush, kWatermark, kSubmit, kCancel } kind;
     TimestampMs time = 0;
     Row row;
     QueryDescriptor desc;
     int cancel_index = -1;  // index into submitted ids
+    int stream = 0;         // kPush
   };
 
  protected:
@@ -60,11 +61,8 @@ class ExactlyOnceTest : public ::testing::Test {
       const LogEntry& e = log[i];
       clock->SetMs(e.time);
       switch (e.kind) {
-        case LogEntry::kPushA:
-          job->PushA(e.time, e.row);
-          break;
-        case LogEntry::kPushB:
-          job->PushB(e.time, e.row);
+        case LogEntry::kPush:
+          job->Push(e.stream, e.time, e.row);
           break;
         case LogEntry::kWatermark:
           job->PushWatermark(e.time);
@@ -156,7 +154,7 @@ std::vector<ExactlyOnceTest::LogEntry> AggregationLog() {
   log.push_back({LogEntry::kSubmit, 2, {}, agg2, -1});
   for (int i = 0; i < 30; ++i) {
     log.push_back(
-        {LogEntry::kPushA, 5 + i * 7, Row{i % 3, i * 11 % 50}, {}, -1});
+        {LogEntry::kPush, 5 + i * 7, Row{i % 3, i * 11 % 50}, {}, -1});
     if (i % 5 == 4) {
       log.push_back({LogEntry::kWatermark, 5 + i * 7, {}, {}, -1});
     }
@@ -179,9 +177,9 @@ std::vector<ExactlyOnceTest::LogEntry> JoinLog() {
   log.push_back({LogEntry::kSubmit, 1, {}, join2, -1});
   for (int i = 0; i < 24; ++i) {
     log.push_back(
-        {LogEntry::kPushA, 4 + i * 6, Row{i % 2, i * 13 % 60}, {}, -1});
+        {LogEntry::kPush, 4 + i * 6, Row{i % 2, i * 13 % 60}, {}, -1});
     log.push_back(
-        {LogEntry::kPushB, 5 + i * 6, Row{i % 2, i * 17 % 60}, {}, -1});
+        {LogEntry::kPush, 5 + i * 6, Row{i % 2, i * 17 % 60}, {}, -1, 1});
     if (i % 4 == 3) {
       log.push_back({LogEntry::kWatermark, 5 + i * 6, {}, {}, -1});
     }
@@ -218,7 +216,7 @@ TEST_F(ExactlyOnceTest, AdhocChurnAfterRecovery) {
   log.push_back({LogEntry::kSubmit, 0, {}, agg, -1});
   log.push_back({LogEntry::kSubmit, 1, {}, agg, -1});
   for (int i = 0; i < 10; ++i) {
-    log.push_back({LogEntry::kPushA, 3 + i * 5, Row{i % 2, i}, {}, -1});
+    log.push_back({LogEntry::kPush, 3 + i * 5, Row{i % 2, i}, {}, -1});
   }
   log.push_back({LogEntry::kWatermark, 60, {}, {}, -1});
   // --- checkpoint lands here (index 14) ---
@@ -227,7 +225,7 @@ TEST_F(ExactlyOnceTest, AdhocChurnAfterRecovery) {
   agg2.window = spe::WindowSpec::Tumbling(25);
   log.push_back({LogEntry::kSubmit, 75, {}, agg2, -1});  // reuses slot 0
   for (int i = 10; i < 25; ++i) {
-    log.push_back({LogEntry::kPushA, 30 + i * 5, Row{i % 2, i}, {}, -1});
+    log.push_back({LogEntry::kPush, 30 + i * 5, Row{i % 2, i}, {}, -1});
   }
   log.push_back({LogEntry::kWatermark, 300, {}, {}, -1});
   RunScenario(Kind::kAggregation, log, 14);
@@ -242,7 +240,7 @@ TEST_F(ExactlyOnceTest, CheckpointAtDifferentOffsets) {
   log.push_back({LogEntry::kSubmit, 0, {}, agg, -1});
   for (int i = 0; i < 20; ++i) {
     log.push_back(
-        {LogEntry::kPushA, 3 + i * 5, Row{i % 2, i}, {}, -1});
+        {LogEntry::kPush, 3 + i * 5, Row{i % 2, i}, {}, -1});
     if (i % 3 == 2) {
       log.push_back({LogEntry::kWatermark, 3 + i * 5, {}, {}, -1});
     }

@@ -109,9 +109,9 @@ RunResult Drive(Mode mode) {
       const spe::Row row{(tick * 4 + i) % 5, 10 + tick};
       const TimestampMs t = now - kTick + 1 + i * (kTick / 4);
       if (iso != nullptr) {
-        iso->PushA(t, row);
+        iso->Push(0, t, row);
       } else {
-        job->PushA(t, row);
+        job->Push(0, t, row);
       }
     }
     const TimestampMs wm = now - 100;

@@ -65,7 +65,7 @@ std::map<QueryId, int64_t> RunAggregationWorkload(AStreamJob* job,
   for (int i = 0; i < 600; ++i) {
     t += rng.UniformInt(1, 3);
     clock->SetMs(t);
-    job->PushA(t, Row{rng.UniformInt(0, 5), rng.UniformInt(0, 99)});
+    job->Push(0, t, Row{rng.UniformInt(0, 5), rng.UniformInt(0, 99)});
     if (i % 25 == 24) job->PushWatermark(t);
   }
   job->FinishAndWait();
@@ -131,9 +131,9 @@ TEST(MetricsE2E, JoinSliceReuseIsAttributed) {
     clock.SetMs(t);
     const Row row{rng.UniformInt(0, 3), rng.UniformInt(0, 99)};
     if (i % 2 == 0) {
-      job->PushA(t, row);
+      job->Push(0, t, row);
     } else {
-      job->PushB(t, row);
+      job->Push(1, t, row);
     }
     if (i % 25 == 24) job->PushWatermark(t);
   }
@@ -195,13 +195,13 @@ TEST(MetricsE2E, PushResultDistinguishesDropCauses) {
   auto job = MakeJob(Kind::kAggregation, /*threaded=*/false, &clock);
 
   // Not started yet: permanent refusal, not backpressure.
-  EXPECT_EQ(job->PushA(1, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 1, Row{0, 1}), PushResult::kShutdown);
 
   ASSERT_TRUE(job->Start().ok());
   clock.SetMs(100);
-  EXPECT_EQ(job->PushA(100, Row{0, 1}), PushResult::kAccepted);
+  EXPECT_EQ(job->Push(0, 100, Row{0, 1}), PushResult::kAccepted);
   // Aggregation topology has no stream B.
-  EXPECT_EQ(job->PushB(100, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(1, 100, Row{0, 1}), PushResult::kShutdown);
 
   // Flush a changelog at t=200; a tuple behind the marker is clamped.
   ASSERT_TRUE(
@@ -209,12 +209,12 @@ TEST(MetricsE2E, PushResultDistinguishesDropCauses) {
           .ok());
   clock.SetMs(200);
   job->Pump(true);
-  EXPECT_EQ(job->PushA(50, Row{0, 1}), PushResult::kLateClamped);
-  EXPECT_EQ(job->PushA(300, Row{0, 1}), PushResult::kAccepted);
+  EXPECT_EQ(job->Push(0, 50, Row{0, 1}), PushResult::kLateClamped);
+  EXPECT_EQ(job->Push(0, 300, Row{0, 1}), PushResult::kAccepted);
 
   job->FinishAndWait();
   // Finished: permanently refused again.
-  EXPECT_EQ(job->PushA(400, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 400, Row{0, 1}), PushResult::kShutdown);
 
   const auto snap = job->MetricsSnapshot();
   EXPECT_EQ(snap.counters.at("job.push_accepted"), 2);
@@ -237,7 +237,7 @@ TEST(MetricsE2E, TraceRecordsLifecycleInOrder) {
 
   for (TimestampMs t = 1; t <= 200; t += 5) {
     clock.SetMs(t);
-    job->PushA(t, Row{0, 1});
+    job->Push(0, t, Row{0, 1});
     if (t % 50 == 1) job->PushWatermark(t);
   }
   ASSERT_TRUE(job->Cancel(id).ok());
@@ -288,6 +288,81 @@ TEST(MetricsE2E, DisabledRegistryStillProducesResults) {
   for (const auto& [id, n] : sink_counts) total += n;
   EXPECT_GT(total, 0);
   EXPECT_TRUE(job->MetricsSnapshot().queries.empty());
+}
+
+// Snapshots taken while threaded jobs run read operator counters that the
+// task threads are writing; every one of them is an owned atomic, so this
+// stays race-free under ThreadSanitizer. Covers the join (budgeted, so it
+// spills), aggregation and multiway operators plus the routers.
+TEST(MetricsSnapshotTest, PollsOperatorCountersWhileThreadedJobsRun) {
+  struct Leg {
+    Kind kind;
+    int streams;
+    QueryDescriptor query;
+  };
+  std::vector<Leg> legs;
+  legs.push_back({Kind::kJoin, 2,
+                  *QueryBuilder::Join().SlidingWindow(120, 40).Build()});
+  legs.push_back({Kind::kAggregation, 1,
+                  *QueryBuilder::Aggregation()
+                       .SlidingWindow(100, 20)
+                       .Agg(spe::AggKind::kSum, 1)
+                       .Build()});
+  legs.push_back({Kind::kMultiway, 3,
+                  *QueryBuilder::MultiwayJoin()
+                       .Input(0)
+                       .Input(1)
+                       .Input(2)
+                       .TumblingWindow(60)
+                       .Build()});
+  for (const Leg& leg : legs) {
+    ManualClock clock;
+    AStreamJob::Options options;
+    options.topology = leg.kind;
+    if (leg.kind == Kind::kMultiway) options.num_streams = leg.streams;
+    options.parallelism = 2;
+    options.threaded = true;
+    options.clock = &clock;
+    options.session.batch_size = 1;
+    if (leg.kind == Kind::kJoin) {
+      options.storage.memory_budget_bytes = 2 << 10;
+    }
+    auto job = std::move(AStreamJob::Create(options)).value();
+    ASSERT_TRUE(job->Start().ok());
+    // Two specs per leg so the slicer's factor registry has work too.
+    ASSERT_TRUE(job->Submit(leg.query).ok());
+    QueryDescriptor second = leg.query;
+    second.window = spe::WindowSpec::Sliding(90, 30);
+    ASSERT_TRUE(job->Submit(second).ok());
+    job->Pump(true);
+
+    Rng rng(23);
+    TimestampMs t = 1;
+    int64_t last_ops = 0;
+    for (int i = 0; i < 1500; ++i) {
+      t += rng.UniformInt(0, 2);
+      clock.SetMs(t);
+      job->Push(i % leg.streams, t,
+                Row{rng.UniformInt(0, 7), rng.UniformInt(0, 99)});
+      if (i % 30 == 29) job->PushWatermark(t);
+      if (i % 10 == 9) {
+        const obs::MetricsRegistry::Snapshot snap = job->MetricsSnapshot();
+        EXPECT_EQ(snap.gauges.count("state.arena_bytes"), 1u);
+        const int64_t ops = job->CollectStats().bitset_ops;
+        EXPECT_GE(ops, last_ops);
+        last_ops = ops;
+      }
+    }
+    ASSERT_TRUE(job->FinishAndWait().ok());
+    const AStreamJob::OperatorStats stats = job->CollectStats();
+    EXPECT_GT(stats.bitset_ops, 0);
+    EXPECT_GT(stats.router_records_out, 0);
+    if (leg.kind == Kind::kJoin) {
+      EXPECT_GT(stats.join_pairs_computed, 0);
+      EXPECT_GT(job->MetricsSnapshot().histograms.at("storage.spill_ms").count,
+                0);
+    }
+  }
 }
 
 }  // namespace

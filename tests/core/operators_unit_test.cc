@@ -57,9 +57,9 @@ QueryDescriptor Sel(Predicate a, Predicate b = {1, CmpOp::kGe, 0}) {
 
 TEST(SharedSelectionTest, TagsPerSidePredicates) {
   SharedSelection::Config cfg;
-  cfg.side = StreamSide::kA;
+  cfg.stream = 0;
   SharedSelection sel_a(cfg);
-  cfg.side = StreamSide::kB;
+  cfg.stream = 1;
   SharedSelection sel_b(cfg);
   RecordingCollector out_a, out_b;
 

@@ -81,8 +81,8 @@ WorkloadResult RunWorkload(int64_t budget_bytes, bool* backpressured =
   for (int i = 0; i < kRows; ++i) {
     const TimestampMs t = 1 + i;
     clock.SetMs(t);
-    const PushResult push = (i % 2 == 0) ? job->PushA(t, WideRow(i))
-                                         : job->PushB(t, WideRow(i));
+    const PushResult push = (i % 2 == 0) ? job->Push(0, t, WideRow(i))
+                                         : job->Push(1, t, WideRow(i));
     if (push == PushResult::kBackpressure && backpressured != nullptr) {
       *backpressured = true;
       break;

@@ -199,9 +199,9 @@ void PushPhaseOne(Job* job, ManualClock* clock) {
   for (int i = 0; i < kPhaseOneRows; ++i) {
     clock->SetMs(1 + i);
     if (i % 2 == 0) {
-      job->PushA(1 + i, WideRow(i));
+      job->Push(0, 1 + i, WideRow(i));
     } else {
-      job->PushB(1 + i, WideRow(i));
+      job->Push(1, 1 + i, WideRow(i));
     }
   }
 }

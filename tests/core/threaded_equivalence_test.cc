@@ -21,10 +21,11 @@ using Kind = AStreamJob::TopologyKind;
 
 struct Script {
   struct Step {
-    enum { kPushA, kPushB, kWatermark, kSubmit, kCancelFirst } what;
+    enum { kPush, kWatermark, kSubmit, kCancelFirst } what;
     TimestampMs time;
     Row row;
     QueryDescriptor desc;
+    int stream = 0;  // kPush
   };
   std::vector<Step> steps;
 };
@@ -55,9 +56,9 @@ Script MakeScript(Kind kind, uint64_t seed) {
     t += rng.UniformInt(1, 4);
     Row row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
     if (kind != Kind::kAggregation && rng.Bernoulli(0.5)) {
-      script.steps.push_back({Script::Step::kPushB, t, row, {}});
+      script.steps.push_back({Script::Step::kPush, t, row, {}, 1});
     } else {
-      script.steps.push_back({Script::Step::kPushA, t, row, {}});
+      script.steps.push_back({Script::Step::kPush, t, row, {}, 0});
     }
     if (i == 150) script.steps.push_back(make_query(t));
     if (i == 250) {
@@ -97,11 +98,8 @@ std::map<QueryId, RowMultiset> RunScript(const Script& script, Kind kind,
   for (const auto& step : script.steps) {
     clock.SetMs(step.time);
     switch (step.what) {
-      case Script::Step::kPushA:
-        job->PushA(step.time, step.row);
-        break;
-      case Script::Step::kPushB:
-        job->PushB(step.time, step.row);
+      case Script::Step::kPush:
+        job->Push(step.stream, step.time, step.row);
         break;
       case Script::Step::kWatermark:
         job->PushWatermark(step.time);

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -166,50 +166,6 @@ TEST(ClientTest, CreateRejectsInvalidConfig) {
   EXPECT_FALSE(Client::Create(std::move(config)).ok());
 }
 
-using Outputs = std::map<QueryId, std::multiset<std::pair<spe::Value, spe::Value>>>;
-
-// Drives a tiny selection workload through the client, using the generic
-// Push surface or the deprecated PushA/PushB shims.
-Outputs RunSmall(ManualClock* clock, int shards, bool use_shims) {
-  JobConfig config = ValidBase();
-  config.job.clock = clock;
-  config.shards = shards;
-  auto client = std::move(Client::Create(std::move(config))).value();
-  EXPECT_TRUE(client->Start().ok());
-  Outputs outputs;
-  client->SetResultCallback([&](QueryId id, const spe::Record& r) {
-    outputs[id].insert({r.row.At(0), r.row.At(1)});
-  });
-  QueryDescriptor d;
-  d.kind = QueryKind::kSelection;
-  d.select_a = {Predicate{1, CmpOp::kGt, 10}};
-  auto id = client->Submit(d);
-  EXPECT_TRUE(id.ok());
-  client->Pump(true);
-  for (spe::Value key = 0; key < 24; ++key) {
-    clock->SetMs(5 + key);
-    const spe::Value value = key * 7 % 50;
-    if (use_shims) {
-      client->PushA(5 + key, Row{key, value});
-      client->PushB(5 + key, Row{key, value + 1});
-    } else {
-      client->Push(StreamId::kA, 5 + key, Row{key, value});
-      client->Push(StreamId::kB, 5 + key, Row{key, value + 1});
-    }
-  }
-  EXPECT_TRUE(client->FinishAndWait().ok());
-  return outputs;
-}
-
-TEST(ClientTest, PushShimsAreEquivalentToGenericPush) {
-  ManualClock clock_a;
-  ManualClock clock_b;
-  const Outputs generic = RunSmall(&clock_a, 2, /*use_shims=*/false);
-  const Outputs shimmed = RunSmall(&clock_b, 2, /*use_shims=*/true);
-  EXPECT_FALSE(generic.empty());
-  EXPECT_EQ(generic, shimmed);
-}
-
 TEST(ClientTest, MergedMetricsSumAcrossShards) {
   ManualClock clock;
   JobConfig config = ValidBase();
@@ -261,6 +217,69 @@ TEST(ClientTest, MergedMetricsSumAcrossShards) {
   // Router-level QoS saw every delivered record exactly once.
   const auto qos = client->QosSnapshot();
   EXPECT_EQ(qos.total_outputs, 40);
+}
+
+// Ratio gauges do not add across shards: ring occupancy merges by max and
+// the compression ratio is recomputed from the summed byte totals — on
+// snapshots taken mid-run and on the quiescent client view after a drain.
+TEST(ClientTest, MergedRatioGaugesAreNotSummed) {
+  ManualClock clock;
+  JobConfig config = ValidBase();
+  config.job.clock = &clock;
+  config.job.threaded = true;  // rings exist only between task threads
+  config.job.storage.memory_budget_bytes = 2 << 10;
+  config.shards = 2;
+  auto client = std::move(Client::Create(std::move(config))).value();
+  ASSERT_TRUE(client->Start().ok());
+  QueryDescriptor d;
+  d.kind = QueryKind::kJoin;
+  d.window = spe::WindowSpec::Sliding(80, 20);
+  ASSERT_TRUE(client->Submit(d).ok());
+  client->Pump(true);
+
+  auto check = [](const obs::MetricsRegistry::Snapshot& merged,
+                  const obs::MetricsRegistry::Snapshot& s0,
+                  const obs::MetricsRegistry::Snapshot& s1) {
+    auto gauge = [](const obs::MetricsRegistry::Snapshot& s,
+                    const std::string& name) {
+      auto it = s.gauges.find(name);
+      return it == s.gauges.end() ? int64_t{0} : it->second;
+    };
+    int rings = 0;
+    for (const auto& [name, value] : merged.gauges) {
+      if (name.find(".ring_occupancy_bp") == std::string::npos) continue;
+      ++rings;
+      EXPECT_EQ(value, std::max(gauge(s0, name), gauge(s1, name))) << name;
+    }
+    EXPECT_GT(rings, 0);
+    const int64_t disk = gauge(s0, "storage.spilled_disk_bytes") +
+                         gauge(s1, "storage.spilled_disk_bytes");
+    const int64_t raw = gauge(s0, "storage.spilled_raw_bytes") +
+                        gauge(s1, "storage.spilled_raw_bytes");
+    EXPECT_EQ(gauge(merged, "storage.compressed_ratio_bp"),
+              obs::CompressedRatioBp(disk, raw));
+    EXPECT_LE(gauge(merged, "storage.compressed_ratio_bp"), 10000);
+  };
+
+  for (spe::Value i = 0; i < 600; ++i) {
+    clock.SetMs(5 + i);
+    client->Push(i % 2 == 0 ? StreamId::kA : StreamId::kB, 5 + i,
+                 Row{i % 13, i});
+    if (i % 20 == 19) client->PushWatermark(5 + i);
+    if (i % 100 == 99) {
+      const auto s0 = client->router()->shard(0)->MetricsSnapshot();
+      const auto s1 = client->router()->shard(1)->MetricsSnapshot();
+      check(obs::MergeSnapshots({s0, s1}), s0, s1);
+    }
+  }
+  ASSERT_TRUE(client->FinishAndWait().ok());
+  const auto merged = client->MetricsSnapshot();
+  const auto s0 = client->router()->shard(0)->MetricsSnapshot();
+  const auto s1 = client->router()->shard(1)->MetricsSnapshot();
+  // Both shards spilled, so a summed ratio would read above 10000.
+  EXPECT_GT(s0.gauges.at("storage.spilled_raw_bytes"), 0);
+  EXPECT_GT(s1.gauges.at("storage.spilled_raw_bytes"), 0);
+  check(merged, s0, s1);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/astream.h"
+#include "core/query_builder.h"
 #include "harness/reference.h"
 #include "shard/client.h"
 
@@ -34,14 +35,14 @@ using spe::Row;
 struct Script {
   struct Step {
     enum What {
-      kPushA,
-      kPushB,
+      kPush,
       kWatermark,
       kSubmit,
       kCancel,
       kCheckpoint,
     };
-    What what = kPushA;
+    What what = kPush;
+    int stream = 0;  // kPush
     TimestampMs time = 0;
     Row row;
     QueryDescriptor desc;
@@ -93,14 +94,75 @@ Script MakeScript() {
     Script::Step s;
     s.time = t;
     s.row = Row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
-    s.what = rng.Bernoulli(0.5) ? Script::Step::kPushB
-                                : Script::Step::kPushA;
+    s.stream = rng.Bernoulli(0.5) ? 1 : 0;
     script.steps.push_back(std::move(s));
     if (i == 90 || i == 210 || i == 330 || i == 450 || i == 540) {
       submit(t, i % 180 == 90);
     }
     if (i == 240) cancel(t, 0);
     if (i == 480) cancel(t, 3);
+    if (i % 20 == 19) {
+      Script::Step wm;
+      wm.what = Script::Step::kWatermark;
+      wm.time = t;
+      script.steps.push_back(std::move(wm));
+    }
+    if (i % 80 == 79) {
+      Script::Step cp;
+      cp.what = Script::Step::kCheckpoint;
+      cp.time = t;
+      script.steps.push_back(std::move(cp));
+    }
+  }
+  return script;
+}
+
+// The same churn shape over three streams for a kMultiway deployment:
+// selections on stream 0 and n-ary joins over two or three legs, ~600
+// tuples spread over the streams.
+Script MakeMultiwayScript() {
+  Rng rng(0x3A57);
+  Script script;
+  auto submit = [&](TimestampMs t, int shape) {
+    QueryDescriptor d;
+    if (shape == 0) {
+      d.kind = QueryKind::kSelection;
+      d.select_a = {Predicate{1, CmpOp::kGt, rng.UniformInt(10, 60)}};
+    } else {
+      auto b = core::QueryBuilder::MultiwayJoin();
+      b.Input(0).Input(shape == 1 ? 1 : 2);
+      if (shape == 3) b.Input(1);
+      b.WhereStream(0, 1, CmpOp::kLt, rng.UniformInt(40, 95))
+          .SlidingWindow(rng.UniformInt(40, 120), rng.UniformInt(20, 40));
+      d = *b.Build();
+    }
+    Script::Step s;
+    s.what = Script::Step::kSubmit;
+    s.time = t;
+    s.desc = d;
+    script.steps.push_back(std::move(s));
+    ++script.num_submits;
+  };
+  submit(0, 3);
+  submit(0, 0);
+  submit(0, 1);
+  TimestampMs t = 1;
+  for (int i = 0; i < 600; ++i) {
+    t += rng.UniformInt(1, 3);
+    Script::Step s;
+    s.time = t;
+    s.row = Row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
+    s.stream = static_cast<int>(rng.UniformInt(0, 2));
+    script.steps.push_back(std::move(s));
+    if (i == 100 || i == 250 || i == 400) submit(t, 1 + i / 100 % 3);
+    if (i == 300 || i == 500) {
+      Script::Step c;
+      c.what = Script::Step::kCancel;
+      c.time = t;
+      c.cancel_index = i == 300 ? 0 : 3;
+      script.steps.push_back(std::move(c));
+      ++script.num_cancels;
+    }
     if (i % 20 == 19) {
       Script::Step wm;
       wm.what = Script::Step::kWatermark;
@@ -128,10 +190,18 @@ JobConfig BaseConfig(ManualClock* clock) {
   return config;
 }
 
+JobConfig MultiwayConfig(ManualClock* clock) {
+  JobConfig config = BaseConfig(clock);
+  config.job.topology = AStreamJob::TopologyKind::kMultiway;
+  config.job.num_streams = 3;
+  return config;
+}
+
 // Fault-free oracle: the deterministic sync runner on one plain job.
-std::map<QueryId, RowMultiset> RunReference(const Script& script) {
+std::map<QueryId, RowMultiset> RunReference(
+    const Script& script, JobConfig (*base)(ManualClock*) = BaseConfig) {
   ManualClock clock;
-  AStreamJob::Options options = BaseConfig(&clock).job;
+  AStreamJob::Options options = base(&clock).job;
   auto job = std::move(AStreamJob::Create(options)).value();
   EXPECT_TRUE(job->Start().ok());
   std::map<QueryId, RowMultiset> outputs;
@@ -142,11 +212,8 @@ std::map<QueryId, RowMultiset> RunReference(const Script& script) {
   for (const auto& step : script.steps) {
     clock.SetMs(step.time);
     switch (step.what) {
-      case Script::Step::kPushA:
-        job->PushA(step.time, step.row);
-        break;
-      case Script::Step::kPushB:
-        job->PushB(step.time, step.row);
+      case Script::Step::kPush:
+        job->Push(step.stream, step.time, step.row);
         break;
       case Script::Step::kWatermark:
         job->PushWatermark(step.time);
@@ -234,11 +301,8 @@ RunOutcome RunClient(const Script& script, JobConfig config,
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
     switch (step.what) {
-      case Script::Step::kPushA:
-        client->Push(StreamId::kA, step.time, step.row);
-        break;
-      case Script::Step::kPushB:
-        client->Push(StreamId::kB, step.time, step.row);
+      case Script::Step::kPush:
+        client->Push(static_cast<StreamId>(step.stream), step.time, step.row);
         break;
       case Script::Step::kWatermark:
         client->PushWatermark(step.time);
@@ -501,6 +565,40 @@ TEST_P(ShardKillChaosTest, FullStackKillAndSplitExactlyOnce) {
   EXPECT_TRUE(run.health.ok()) << run.health.ToString();
   EXPECT_GE(run.recoveries, 2);
   EXPECT_EQ(run.final_shards, 3);
+  EXPECT_EQ(reference.size(), run.outputs.size());
+  EXPECT_EQ(reference, run.outputs);
+}
+
+// Supervised shards of a three-stream multiway deployment: each shard's
+// source log records and replays every stream, so shard 1 killed twice
+// mid-churn recovers exactly once like the two-stream topologies do.
+TEST_P(ShardKillChaosTest, SupervisedMultiwayKilledShardRecoversExactlyOnce) {
+  const uint64_t seed = GetParam();
+  const Script script = MakeMultiwayScript();
+  ASSERT_GE(script.num_submits, 6);
+  ASSERT_GE(script.num_cancels, 2);
+  const auto reference = RunReference(script, MultiwayConfig);
+  ASSERT_FALSE(reference.empty());
+
+  ManualClock clock;
+  JobConfig config = MultiwayConfig(&clock);
+  config.shards = 2;
+  config.job.threaded = true;  // kills require an async engine
+  config.supervised = true;
+  config.state_dir =
+      FreshDir("astream_shard_mjoin_kill_test_" + std::to_string(seed));
+  config.supervisor.backoff_initial_ms = 1;
+  config.supervisor.backoff_max_ms = 8;
+  config.pin_clock = [&clock](TimestampMs ms) { clock.SetMs(ms); };
+  ASSERT_TRUE(JobConfig::Validated(config).ok());
+  RunPlan plan;
+  plan.kill_shard = 1;
+  const int shift = static_cast<int>(seed) * 41;
+  plan.kill_at = {160 + shift, 430 + shift};
+  const RunOutcome run = RunClient(script, std::move(config), plan);
+
+  EXPECT_TRUE(run.health.ok()) << run.health.ToString();
+  EXPECT_GE(run.recoveries, 2);
   EXPECT_EQ(reference.size(), run.outputs.size());
   EXPECT_EQ(reference, run.outputs);
 }

@@ -316,7 +316,7 @@ TEST_P(SyncBatchedEdgesTest, CapsBatchesAndKeepsEmitAndControlOrder) {
   for (int i = 3; i < 8; ++i) {
     batch.Add(StreamElement::MakeRecord(i, Row{i}));
   }
-  runner.PushBatch(0, std::move(batch));
+  runner.Push(0, std::move(batch));
   runner.Push(0, StreamElement::MakeWatermark(10));
   ControlMarker marker;
   marker.kind = MarkerKind::kChangelog;

@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault/injector.h"
 
 namespace astream::storage {
@@ -462,6 +464,70 @@ TEST_F(RunFileTest, CorruptCompressedBlockFailsScanNotCrash) {
     if (!(*reader)->status().ok()) continue;  // rejected mid-scan — fine
     // A flip the codec cannot detect must at least keep the scan bounded.
     EXPECT_LE(n, 1000u);
+  }
+}
+
+// Seeded fuzz over a compressed multi-block run with meta: random byte
+// flips in the blocks, in the footer and tail, or anywhere, plus random
+// truncations. A CRC-verified open rejects every variant with a Status;
+// an unverified open fails with a Status, or its scan stops after a
+// bounded number of entries (on a Status when the damage is detectable)
+// — never a crash, a hang or an overrun.
+TEST_F(RunFileTest, FuzzedBlocksAndFootersFailWithStatus) {
+  const std::string path = Path("fuzz.run");
+  RunWriter::Options options;
+  options.block_bytes = 512;
+  RunWriter writer(path, options);
+  constexpr int kEntries = 400;
+  for (int i = 0; i < kEntries; ++i) {
+    std::vector<uint8_t> payload(24 + i % 40, static_cast<uint8_t>(i % 5));
+    ASSERT_TRUE(writer.Append(i / 2, payload.data(), payload.size()).ok());
+  }
+  writer.SetMeta(std::vector<uint8_t>(40, 0x42));
+  ASSERT_TRUE(writer.Finish().ok());
+  const std::vector<uint8_t> pristine = FileBytes(path);
+  // The tail starts with the footer offset (see RunReader::Open).
+  uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, pristine.data() + pristine.size() - 24, 8);
+  ASSERT_GT(footer_offset, 8u);
+  ASSERT_LT(footer_offset, pristine.size());
+
+  for (const uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<uint8_t> bytes = pristine;
+      const uint64_t mode = rng.NextU64() % 4;
+      if (mode != 3) {
+        // 0: blocks, 1: footer + tail, 2: anywhere.
+        const uint64_t lo = mode == 1 ? footer_offset : 0;
+        const uint64_t hi = mode == 0 ? footer_offset : bytes.size();
+        // Distinct positions, non-zero masks: the file really changes.
+        std::set<uint64_t> at;
+        const size_t flips = 1 + rng.NextU64() % 3;
+        while (at.size() < flips) at.insert(lo + rng.NextU64() % (hi - lo));
+        for (uint64_t pos : at) {
+          bytes[pos] ^= static_cast<uint8_t>(1 + rng.NextU64() % 255);
+        }
+      } else {
+        bytes.resize(rng.NextU64() % bytes.size());
+      }
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+
+      SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                   std::to_string(trial));
+      EXPECT_FALSE(RunReader::Open(path, /*verify_crc=*/true).ok());
+      auto reader = RunReader::Open(path, /*verify_crc=*/false);
+      if (!reader.ok()) continue;
+      int64_t key = 0;
+      std::vector<uint8_t> payload;
+      size_t n = 0;
+      while ((*reader)->Next(&key, &payload)) {
+        ASSERT_LE(++n, pristine.size());  // entries are >= 12 bytes each
+      }
+    }
   }
 }
 

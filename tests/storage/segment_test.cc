@@ -398,5 +398,75 @@ TEST(SegmentStoreTest, ConcurrentSpillScanReleaseWithCompactionWorker) {
   EXPECT_EQ(space->segment().used_bytes(), 0u);
 }
 
+// Seeded fuzz over a spilled run's extents: random byte flips in block
+// headers or payloads, and truncations of the segment file. Every scan
+// ends cleanly or in a SpillReadError — never another exception, a crash,
+// a hang or an out-of-bounds read. Damage the reader can always see (a
+// block header that no longer matches the index, a short extent) must
+// throw; spilled extents carry no checksum, so a payload flip may also
+// decode into different bytes.
+TEST(SegmentStoreTest, FuzzedExtentsFailWithSpillReadError) {
+  auto space = NewSpace(/*block_bytes=*/512);
+  constexpr int64_t kEntries = 300;
+  const SpilledRunPtr run = WriteRun(space.get(), 3, kEntries, 40);
+  const auto& blocks = run->blocks();
+  ASSERT_GT(blocks.size(), 4u);
+  const std::string path = space->segment().path();
+  const uint64_t used = blocks.back().offset + blocks.back().extent_bytes();
+  std::string pristine(used, '\0');
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.read(pristine.data(), static_cast<std::streamsize>(used));
+    ASSERT_EQ(static_cast<uint64_t>(in.gcount()), used);
+  }
+  auto restore = [&] {
+    std::filesystem::resize_file(path, used);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.write(pristine.data(), static_cast<std::streamsize>(used));
+  };
+
+  for (const uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 100; ++trial) {
+      restore();
+      const SpilledRun::Block& b = blocks[rng.NextU64() % blocks.size()];
+      const uint64_t mode = rng.NextU64() % 3;
+      bool must_throw = true;
+      if (mode == 2) {
+        // Cut the segment somewhere inside the run's extents.
+        std::filesystem::resize_file(path, rng.NextU64() % used);
+      } else {
+        // 0: the block's 8-byte header, 1: its stored payload.
+        const uint64_t lo = b.offset + (mode == 0 ? 0 : 8);
+        const uint64_t span = mode == 0 ? 8 : b.stored_bytes;
+        must_throw = mode == 0;
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        const uint64_t pos = lo + rng.NextU64() % span;
+        f.seekp(static_cast<std::streamoff>(pos));
+        const char flipped = static_cast<char>(
+            pristine[pos] ^ static_cast<char>(1 + rng.NextU64() % 255));
+        f.write(&flipped, 1);
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                   std::to_string(trial) + " mode " + std::to_string(mode));
+      bool threw = false;
+      int64_t read = 0;
+      try {
+        SpillReader reader(run);
+        int64_t key = 0;
+        std::vector<uint8_t> payload;
+        while (reader.Next(&key, &payload)) {
+          ASSERT_LE(++read, static_cast<int64_t>(used));
+        }
+      } catch (const SpillReadError&) {
+        threw = true;
+      }
+      if (must_throw) EXPECT_TRUE(threw) << "read " << read << " entries";
+    }
+  }
+  restore();
+  ExpectRun(run, 3, kEntries, 40);
+}
+
 }  // namespace
 }  // namespace astream::storage
