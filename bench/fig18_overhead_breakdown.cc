@@ -129,7 +129,8 @@ void Run() {
   std::printf(
       "\nFigure 18c — storage engine v2 under an 8 MiB budget (qp=16; "
       "compressed_ratio_bp = on-disk/raw in basis points, reload_saves = "
-      "evictions redirected away from re-read slices):\n");
+      "aggregation and multiway evictions redirected away from re-read "
+      "slices, 0 here: the join spills its oldest slice):\n");
   table_c.Print();
   std::printf(
       "\nExpected shape vs. paper: components roughly comparable at low "

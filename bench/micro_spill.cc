@@ -132,8 +132,9 @@ bool Run() {
       "micro_spill — out-of-core state vs memory budget",
       "One deterministic join workload (80k wide 256-column tuples, "
       "~70 MiB live window state) under three budgets. The governor "
-      "spills coldest slices to run files; join finalize streams a "
-      "k-way merge over resident + spilled runs. Outputs must be "
+      "spills the oldest slices into the engine's segment file; join "
+      "finalize probes each spilled entry's key against the resident "
+      "side (a k-way merge when both sides hold runs). Outputs must be "
       "identical (order-insensitive hash) across budgets.",
       "sync join topology, parallelism 1, sliding window 32000/8000, "
       "watermark every 2000 tuples");

@@ -94,8 +94,10 @@ echo "== storage v2: loser-tree merge, compressed runs, compaction, v1 compat ==
 # changing the merged order (ties broken by input index). Spilled runs
 # live as extents of one segment file per engine: freed extents are
 # reused and coalesce, and an unreadable spilled block fails the job.
+# A join with runs on one side probes by key and must emit what the
+# resident join emits; the join spills its oldest slice first.
 ./build/tests/astream_tests \
-  --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:MergeTest.*:MemoryGovernorTest.*:SegmentStoreTest.*:SpillFailureTest.*'
+  --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:MergeTest.*:MemoryGovernorTest.*:SegmentStoreTest.*:SpillFailureTest.*:SliceStoreJoinTest.*:SharedJoinSpillTest.*'
 
 echo "== micro_spill: compressed-budgeted legs (8 MiB cap, compaction on) =="
 # Exits nonzero if any leg's output hash (raw v1, compressed, compacted)
@@ -132,10 +134,11 @@ else
   cmake --build build-tsan -j --target astream_tests
 
   echo "== tsan: threaded/batched/ring equivalence + channel + observability =="
-  # TSAN_OPTIONS makes any race a hard failure.
+  # TSAN_OPTIONS makes any race a hard failure. The metered-cost leg polls
+  # per-query state shares from the control thread during query churn.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*'
+    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*:MetricsSnapshotTest.MeteredCostsWhileThreadedChurnRuns'
 
   echo "== tsan: contended channel/ring stress (closed-wins race, SPSC handoff, CoW reads) =="
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
@@ -195,7 +198,7 @@ else
   # The decompressor is the safety boundary for on-disk bytes (spilled
   # runs carry no CRC); fuzz-ish corrupt-block tests must stay in bounds.
   ASAN_OPTIONS="detect_leaks=1" ./build-asan/tests/astream_tests \
-    --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:SegmentStoreTest.*:SpillFailureTest.*'
+    --gtest_filter='LzCodecTest.*:RunFileTest.*:CompactorTest.*:SegmentStoreTest.*:SpillFailureTest.*:SliceStoreJoinTest.*:SharedJoinSpillTest.*'
 
   echo "== asan: out-of-core storage under an 8 MiB budget =="
   # The spill/reload/merge and torn-file recovery paths shuffle large
@@ -203,7 +206,7 @@ else
   # active so the governor's eviction loop is exercised under ASan.
   ASTREAM_MEMORY_BUDGET=8m ASAN_OPTIONS="detect_leaks=1" \
     ./build-asan/tests/astream_tests \
-    --gtest_filter='RunFileTest.*:MemoryGovernorTest.*:ParseByteSizeTest.*:ResolveMemoryBudgetTest.*:DurableCheckpointTest.*:SpillEquivalenceTest.*:DurableRecoveryTest.*:CheckpointDedupTest.*:Seeds/ChaosEquivalenceTest.ExactlyOnceUnderCrashChurnAndSpill/*:SegmentStoreTest.*:SpillFailureTest.*'
+    --gtest_filter='RunFileTest.*:MemoryGovernorTest.*:ParseByteSizeTest.*:ResolveMemoryBudgetTest.*:DurableCheckpointTest.*:SpillEquivalenceTest.*:DurableRecoveryTest.*:CheckpointDedupTest.*:Seeds/ChaosEquivalenceTest.ExactlyOnceUnderCrashChurnAndSpill/*:SegmentStoreTest.*:SpillFailureTest.*:SliceStoreJoinTest.*:SharedJoinSpillTest.*'
 fi
 
 echo "verify: OK"

@@ -41,7 +41,9 @@ class TupleArrangement {
 
   /// Access-aware eviction (DESIGN.md §13): PickVictim weighs per-version
   /// read counts so standing queries stop re-loading the slice they read
-  /// every slide. Off = PickVictim degenerates to ColdestResident.
+  /// every slide. Off = PickVictim degenerates to ColdestResident. The
+  /// multiway join turns it on; the binary join leaves it off and spills
+  /// ColdestResident.
   void SetAccessAware(bool on) { access_aware_ = on; }
 
   /// Records that `version` was read by a trigger (operators call this

@@ -789,7 +789,6 @@ AStreamJob::OperatorStats AStreamJob::CollectStats() const {
     s.join_pairs_reused += j->pairs_reused();
     s.records_late += j->records_late();
     s.state_arena_bytes += j->state_arena_bytes();
-    s.reload_saves += j->reload_saves();
     // The join-pair memo is the join side of the arrangement layer.
     s.arrange_memo_hits += j->pairs_reused();
     s.arrange_memo_misses += j->pairs_computed();

@@ -261,7 +261,8 @@ class AStreamJob {
     int64_t router_rows_shared = 0;  // fan-out rows shipped by reference
     int64_t router_rows_copied = 0;  // fan-out rows materialized fresh
     int64_t state_arena_bytes = 0;   // slice-store arena footprint
-    int64_t reload_saves = 0;        // access-aware evictions avoiding a reload
+    int64_t reload_saves = 0;        // access-aware evictions avoiding a
+                                     // reload (aggregation, multiway)
     int64_t arrange_memo_hits = 0;   // composed-block / join-pair memo hits
     int64_t arrange_memo_misses = 0;
     int64_t arrange_memo_bytes = 0;  // resident composed-block bytes

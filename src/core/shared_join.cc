@@ -1,7 +1,7 @@
 #include "core/shared_join.h"
 
+#include <algorithm>
 #include <limits>
-#include <tuple>
 
 namespace astream::core {
 
@@ -10,7 +10,6 @@ SharedJoin::SharedJoin(SharedOperatorConfig config)
   for (TupleArrangement& side : sides_) {
     side.BindSpill(spill_space());
     side.BindCompactor(compactor());
-    side.SetAccessAware(access_aware_eviction());
   }
   if (governor() != nullptr) governor()->Register(this);
 }
@@ -33,23 +32,7 @@ void SharedJoin::RefreshArenaBytes() {
     auto slice = tracker().SliceByIndex(coldest_index);
     coldest_end = slice.has_value() ? slice->end : coldest_index;
   }
-  // Report the read heat of the slice SpillOnce would actually pick, so
-  // the governor's cross-operator ordering sees the same access signal
-  // (0 with access-awareness off — ordering stays coldest-end-first).
-  int64_t victim_reads = 0;
-  if (access_aware_eviction() && coldest_index != TupleArrangement::kNoVersion) {
-    int64_t r0 = 0, r1 = 0;
-    const int64_t v0 = sides_[0].PickVictim(&r0);
-    const int64_t v1 = sides_[1].PickVictim(&r1);
-    if (v0 == TupleArrangement::kNoVersion) {
-      victim_reads = v1 == TupleArrangement::kNoVersion ? 0 : r1;
-    } else if (v1 == TupleArrangement::kNoVersion) {
-      victim_reads = r0;
-    } else {
-      victim_reads = std::tie(r0, v0) <= std::tie(r1, v1) ? r0 : r1;
-    }
-  }
-  governor()->Update(this, resident, coldest_end, victim_reads);
+  governor()->Update(this, resident, coldest_end);
 }
 
 void SharedJoin::EnforceBudget() {
@@ -57,27 +40,16 @@ void SharedJoin::EnforceBudget() {
 }
 
 size_t SharedJoin::SpillOnce() {
-  // Victim = the least-read (access-aware) or coldest resident slice;
-  // both sides spill at that index (their windows expire together), and
-  // the CL deltas at or below it go with them. The pair memo stays: it
-  // holds computed results that every later window over the pair reuses.
-  int64_t r0 = 0, r1 = 0;
-  const int64_t v0 = sides_[0].PickVictim(&r0);
-  const int64_t v1 = sides_[1].PickVictim(&r1);
-  int64_t victim;
-  if (v0 == TupleArrangement::kNoVersion) {
-    victim = v1;
-  } else if (v1 == TupleArrangement::kNoVersion) {
-    victim = v0;
-  } else {
-    // Both sides see the same trigger reads, so this usually degenerates
-    // to min(v0, v1); when the resident sets diverge, prefer fewer reads.
-    victim = std::tie(r0, v0) <= std::tie(r1, v1) ? v0 : v1;
-  }
+  // Victim = the oldest resident slice of either side. The pair memo
+  // joins each slice pair once, so a slice is read again only for pairs
+  // with slices that close after it — the oldest has the fewest left, and
+  // past trigger reads say nothing about future ones. Both sides spill at
+  // that index (their windows expire together), and the CL deltas at or
+  // below it go with them. The memo stays: it holds computed results that
+  // every later window over the pair reuses.
+  const int64_t victim = std::min(sides_[0].ColdestResident(),
+                                  sides_[1].ColdestResident());
   if (victim == TupleArrangement::kNoVersion) return 0;
-  const int64_t coldest = std::min(sides_[0].ColdestResident(),
-                                   sides_[1].ColdestResident());
-  if (victim != coldest) reload_saves_.Add(1);  // a hot slice kept resident
   size_t released = sides_[0].SpillAt(victim) + sides_[1].SpillAt(victim);
   released += tracker().cl_table().SpillBelow(victim, spill_space());
   RefreshArenaBytes();
@@ -195,10 +167,6 @@ void SharedJoin::TriggerWindows(TimestampMs start, TimestampMs end,
   }
 
   const std::vector<SliceInfo> slices = tracker().SlicesIn(start, end);
-  for (const SliceInfo& s : slices) {
-    sides_[0].NoteRead(s.index);
-    sides_[1].NoteRead(s.index);
-  }
   const TimestampMs result_time = end - 1;
   int64_t ops = 0;
   int64_t computed_pairs = 0;

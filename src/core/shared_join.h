@@ -46,13 +46,13 @@ class SharedJoin : public SharedWindowedOperator, public storage::SpillClient {
   /// Arena bytes backing all live slice stores (the state.arena_bytes
   /// gauge). Refreshed by the task thread after inserts and evictions.
   int64_t state_arena_bytes() const { return state_arena_bytes_.Get(); }
-  /// Times the access-aware policy evicted something other than the
-  /// coldest slice — each one a reload a standing query did not pay
-  /// (the storage.reload_saves gauge).
-  int64_t reload_saves() const { return reload_saves_.Get(); }
+  /// The tuple arrangement of `port` (0 = A, 1 = B). Task thread only.
+  const TupleArrangement& side(int port) const { return sides_[port]; }
 
-  /// storage::SpillClient: spills the coldest (lowest-index) slice of both
-  /// sides plus the CL deltas at or below it. Governor-invoked only, on
+  /// storage::SpillClient: spills the oldest (lowest-index) resident slice
+  /// of both sides plus the CL deltas at or below it. The join counts no
+  /// trigger reads and never spares a slice for them, so it adds nothing
+  /// to storage.reload_saves (DESIGN.md §13.4). Governor-invoked only, on
   /// this operator's task thread.
   size_t SpillOnce() override;
 
@@ -90,7 +90,6 @@ class SharedJoin : public SharedWindowedOperator, public storage::SpillClient {
   OwnedCounter bitset_ops_;
   OwnedCounter records_late_;
   OwnedCounter state_arena_bytes_;
-  OwnedCounter reload_saves_;
   // Scratch query-set reused across the tuples of one batch.
   QuerySet scratch_tags_;
 };

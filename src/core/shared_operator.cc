@@ -111,7 +111,19 @@ void SharedWindowedOperator::ApplyChangelog(const Changelog& log) {
   hosted_mask_ = table_.SlotsWhere(config_.hosts);
   if (config_.adaptive_mode) MaybeSwitchMode();
   RebuildSlotSeries();
+  PublishHostedSpans();
   OnActiveSetChanged();
+}
+
+void SharedWindowedOperator::PublishHostedSpans() {
+  std::vector<std::pair<QueryId, TimestampMs>> spans;
+  table_.ForEach([&](const ActiveQuery& q) {
+    if (config_.hosts(q) && q.desc.window.IsTimeWindow()) {
+      spans.emplace_back(q.id, q.desc.window.length);
+    }
+  });
+  std::lock_guard<std::mutex> lock(spans_mutex_);
+  hosted_spans_ = std::move(spans);
 }
 
 void SharedWindowedOperator::RebuildSlotSeries() {
@@ -249,16 +261,11 @@ void SharedWindowedOperator::AppendStateShares(
   if (resident <= 0) return;
   // Window span is the retention driver: a query's share of the arena is
   // proportional to how much event time it forces the operator to keep.
-  std::vector<std::pair<QueryId, TimestampMs>> spans;
+  std::lock_guard<std::mutex> lock(spans_mutex_);
   TimestampMs total = 0;
-  table_.ForEach([&](const ActiveQuery& q) {
-    if (config_.hosts(q) && q.desc.window.IsTimeWindow()) {
-      spans.emplace_back(q.id, q.desc.window.length);
-      total += q.desc.window.length;
-    }
-  });
+  for (const auto& [id, span] : hosted_spans_) total += span;
   if (total <= 0) return;
-  for (const auto& [id, span] : spans) {
+  for (const auto& [id, span] : hosted_spans_) {
     (*out)[id] += resident * span / total;
   }
 }
@@ -327,6 +334,7 @@ Status SharedWindowedOperator::RestoreBase(spe::StateReader* reader) {
   hosted_mask_ = reader->ReadBitset();
   current_mode_ = static_cast<StoreMode>(reader->ReadI64());
   RebuildSlotSeries();
+  PublishHostedSpans();
   max_seen_event_time_ = reader->ReadI64();
   current_watermark_ = kMinTimestamp;  // rebuilt by replayed watermarks
   reader->ReadI64();                   // stored watermark (diagnostics only)

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/changelog.h"
@@ -56,7 +58,8 @@ struct SharedOperatorConfig {
   /// Run compaction (DESIGN.md §13); nullptr = runs are never folded.
   storage::Compactor* compactor = nullptr;
   /// Weigh per-slice trigger reads in spill-victim selection (see
-  /// StorageOptions::access_aware_eviction).
+  /// StorageOptions::access_aware_eviction). Read by the aggregation and
+  /// multiway operators; the binary join always spills its oldest slice.
   bool access_aware_eviction = false;
 
   /// Cross-window state sharing (DESIGN.md §12). When true (the default),
@@ -106,6 +109,8 @@ class SharedWindowedOperator : public spe::Operator {
   /// across its hosted time-windowed queries by window-span share (a
   /// query retaining a 10x longer window owns 10x of the shared arena)
   /// and adds the shares into `out`. No-op when nothing is resident.
+  /// Any thread may call it while the task thread runs: it reads the
+  /// hosted spans the task thread last published, not the query table.
   void AppendStateShares(std::map<QueryId, int64_t>* out) const;
 
  protected:
@@ -188,6 +193,9 @@ class SharedWindowedOperator : public spe::Operator {
 
  private:
   void ApplyChangelog(const Changelog& log);
+  /// Copies (id, window length) of every hosted time-windowed query into
+  /// hosted_spans_ (task thread, after the table changes).
+  void PublishHostedSpans();
   void RebuildSlotSeries();
   void EvictExpired(TimestampMs watermark);
   /// Longest window span any live (active or draining) hosted query needs.
@@ -208,6 +216,9 @@ class SharedWindowedOperator : public spe::Operator {
   bool meter_on_ = false;
   obs::SeriesCache series_cache_;
   std::vector<obs::QuerySeries*> slot_series_;
+
+  mutable std::mutex spans_mutex_;
+  std::vector<std::pair<QueryId, TimestampMs>> hosted_spans_;
 };
 
 }  // namespace astream::core

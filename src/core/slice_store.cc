@@ -215,12 +215,24 @@ int64_t TupleStore::MergeJoin(const TupleStore& a, const TupleStore& b,
   return ops;
 }
 
-int64_t TupleStore::Join(const TupleStore& a, const TupleStore& b,
-                         const QuerySet& mask, const JoinEmit& emit) {
-  int64_t ops = 0;
-  if (a.num_tuples_ == 0 || b.num_tuples_ == 0 || mask.None()) return ops;
+void TupleStore::CollectResident(spe::Value key, RowRefs* out) const {
+  if (mode_ == StoreMode::kList) {
+    auto it = res_->list.find(key);
+    if (it == res_->list.end()) return;
+    for (const auto& [row, tags] : it->second) out->emplace_back(&row, &tags);
+  } else {
+    for (const auto& [tags, keyed] : res_->groups) {
+      auto it = keyed.find(key);
+      if (it == keyed.end()) continue;
+      for (const auto& row : it->second) out->emplace_back(&row, &tags);
+    }
+  }
+}
 
-  if (a.HasSpill() || b.HasSpill()) return MergeJoin(a, b, mask, emit);
+int64_t TupleStore::HashJoin(const TupleStore& a, const TupleStore& b,
+                             const QuerySet& mask, const JoinEmit& emit) {
+  int64_t ops = 0;
+  if (a.resident_tuples_ == 0 || b.resident_tuples_ == 0) return ops;
 
   if (a.mode_ == StoreMode::kGrouped && b.mode_ == StoreMode::kGrouped) {
     // The paper's group pruning: skip group pairs that share no query.
@@ -239,7 +251,6 @@ int64_t TupleStore::Join(const TupleStore& a, const TupleStore& b,
   }
 
   // At least one side is a flat list: join per key with per-tuple tag ANDs.
-  // Normalize access through lambdas over both layouts.
   auto for_each_key_a = [&](auto&& fn) {
     if (a.mode_ == StoreMode::kList) {
       for (const auto& [key, tagged] : a.res_->list) fn(key);
@@ -254,39 +265,17 @@ int64_t TupleStore::Join(const TupleStore& a, const TupleStore& b,
       }
     }
   };
-  auto collect = [](const TupleStore& s, spe::Value key,
-                    std::vector<std::pair<const spe::Row*, const QuerySet*>>*
-                        out) {
-    if (s.mode_ == StoreMode::kList) {
-      auto it = s.res_->list.find(key);
-      if (it == s.res_->list.end()) return;
-      for (const auto& [row, tags] : it->second) {
-        out->emplace_back(&row, &tags);
-      }
-    } else {
-      for (const auto& [tags, keyed] : s.res_->groups) {
-        auto it = keyed.find(key);
-        if (it == keyed.end()) continue;
-        for (const auto& row : it->second) out->emplace_back(&row, &tags);
-      }
-    }
-  };
-
   // Scratch rows reused across keys and Join calls (per task thread): the
   // probe loop runs once per distinct key, so per-call vectors would churn
   // an allocation pair per key.
-  static thread_local std::vector<
-      std::pair<const spe::Row*, const QuerySet*>>
-      rows_a;
-  static thread_local std::vector<
-      std::pair<const spe::Row*, const QuerySet*>>
-      rows_b;
+  static thread_local RowRefs rows_a;
+  static thread_local RowRefs rows_b;
   for_each_key_a([&](spe::Value key) {
     rows_a.clear();
     rows_b.clear();
-    collect(a, key, &rows_a);
+    a.CollectResident(key, &rows_a);
     if (rows_a.empty()) return;
-    collect(b, key, &rows_b);
+    b.CollectResident(key, &rows_b);
     if (rows_b.empty()) return;
     for (const auto& [row_a, tags_a] : rows_a) {
       QuerySet ta = *tags_a & mask;
@@ -301,6 +290,57 @@ int64_t TupleStore::Join(const TupleStore& a, const TupleStore& b,
     }
   });
   return ops;
+}
+
+int64_t TupleStore::ProbeJoin(const TupleStore& a, const TupleStore& b,
+                              const QuerySet& mask, const JoinEmit& emit) {
+  // Exactly one side holds runs. Its resident tail is an ordinary hash
+  // join; each entry of its runs is read key first and looked up in the
+  // other side's resident index, and only a hit decodes the entry. Every
+  // block is still read and checked, so a damaged run throws even when
+  // none of its keys would match.
+  const bool a_spilled = a.HasSpill();
+  const TupleStore& spilled = a_spilled ? a : b;
+  const TupleStore& resident = a_spilled ? b : a;
+  int64_t ops = HashJoin(a, b, mask, emit);
+  spilled.AdoptCompaction();
+  static thread_local RowRefs hits;
+  std::vector<uint8_t> payload;
+  for (const storage::SpilledRunPtr& run : spilled.runs_) {
+    storage::SpillReader reader(run);
+    int64_t key = 0;
+    while (reader.NextKey(&key)) {
+      hits.clear();
+      resident.CollectResident(key, &hits);
+      if (hits.empty()) continue;
+      reader.Payload(&payload);
+      spe::StateReader dec(std::move(payload));
+      const spe::Row row = dec.ReadRow();
+      const QuerySet masked = dec.ReadBitset() & mask;
+      CheckDecoded(dec);
+      ++ops;
+      if (masked.None()) continue;
+      for (const auto& [other_row, other_tags] : hits) {
+        QuerySet combined = masked & *other_tags;
+        ++ops;
+        if (combined.None()) continue;
+        if (a_spilled) {
+          emit(row, *other_row, std::move(combined));
+        } else {
+          emit(*other_row, row, std::move(combined));
+        }
+      }
+    }
+  }
+  return ops;
+}
+
+int64_t TupleStore::Join(const TupleStore& a, const TupleStore& b,
+                         const QuerySet& mask, const JoinEmit& emit) {
+  if (a.num_tuples_ == 0 || b.num_tuples_ == 0 || mask.None()) return 0;
+  if (a.HasSpill() && b.HasSpill()) return MergeJoin(a, b, mask, emit);
+  if (a.HasSpill() || b.HasSpill()) return ProbeJoin(a, b, mask, emit);
+  return HashJoin(a, b, mask, emit);
 }
 
 std::unique_ptr<TupleStore::SortedStream> TupleStore::SortedScan() const {

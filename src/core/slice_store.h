@@ -44,10 +44,12 @@ enum class StoreMode : uint8_t {
 /// (SpillToDisk) — the arena and containers are rebuilt from scratch, so
 /// the memory is actually returned, not just logically cleared. A store
 /// may hold several runs (it keeps receiving inserts after a spill).
-/// Joins over spilled stores run as a streaming group-wise sorted merge
-/// (one key group in memory per side); full logical content is still
-/// reachable via ForEach/Serialize, so checkpoints and mode semantics are
-/// unchanged.
+/// A join with runs on one side probes: each spilled entry's key is
+/// looked up in the other side's resident index, and only a hit decodes
+/// the entry. Runs on both sides join as a streaming group-wise sorted
+/// merge (one key group in memory per side). Full logical content is
+/// still reachable via ForEach/Serialize, so checkpoints and mode
+/// semantics are unchanged.
 class TupleStore {
  public:
   explicit TupleStore(StoreMode mode);
@@ -104,8 +106,11 @@ class TupleStore {
                                       QuerySet tags)>;
   /// Returns the number of bitset AND/intersection operations performed
   /// (Fig. 18 overhead accounting). Fully resident stores use the hash
-  /// paths; once either side holds runs, the join switches to a sorted
-  /// group-wise merge that never rematerializes a run in memory.
+  /// paths. When one side holds runs, its resident tail hash-joins and
+  /// its runs are read key first and probed against the other side's
+  /// resident index, decoding only the entries whose key is there. When
+  /// both do, the join is a sorted group-wise merge. No path
+  /// rematerializes a run in memory.
   static int64_t Join(const TupleStore& a, const TupleStore& b,
                       const QuerySet& mask, const JoinEmit& emit);
 
@@ -182,6 +187,17 @@ class TupleStore {
 
   void ForEachResident(
       const std::function<void(const spe::Row&, const QuerySet&)>& fn) const;
+  /// Rows of one key with their tag sets, pointing into a resident store.
+  using RowRefs = std::vector<std::pair<const spe::Row*, const QuerySet*>>;
+  /// Appends the resident rows of `key` (one hash lookup per list, or per
+  /// query-set group in grouped mode).
+  void CollectResident(spe::Value key, RowRefs* out) const;
+  /// The three Join paths: resident x resident (runs ignored), one side
+  /// with runs probing the other's resident index, and runs on both sides.
+  static int64_t HashJoin(const TupleStore& a, const TupleStore& b,
+                          const QuerySet& mask, const JoinEmit& emit);
+  static int64_t ProbeJoin(const TupleStore& a, const TupleStore& b,
+                           const QuerySet& mask, const JoinEmit& emit);
   static int64_t MergeJoin(const TupleStore& a, const TupleStore& b,
                            const QuerySet& mask, const JoinEmit& emit);
   /// Folds a settled compaction into runs_ (swap the input prefix for the

@@ -28,8 +28,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "recovery_done";
     case TraceEventKind::kSpill:
       return "spill";
-    case TraceEventKind::kReload:
-      return "reload";
   }
   return "unknown";
 }

@@ -27,7 +27,6 @@ enum class TraceEventKind : uint8_t {
   kRecoveryStart,    // a recovery attempt began; detail = attempt index
   kRecoveryDone,     // recovery completed; detail = latency (ms)
   kSpill,            // a store spilled a run to disk; detail = run bytes
-  kReload,           // a spilled run was opened for reading; detail = bytes
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

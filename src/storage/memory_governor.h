@@ -33,9 +33,12 @@ struct StorageOptions {
   bool compaction = true;
   /// A store schedules a compaction once it holds this many runs.
   size_t compaction_min_runs = 4;
-  /// Victim selection counts per-slice reads: a slice a standing query
-  /// re-reads every slide stops being evicted even when it is the
-  /// coldest by window end. Off = plain coldest-first (PR 5 behavior).
+  /// Aggregation and multiway victim selection counts per-slice reads: a
+  /// slice a standing query re-reads every slide stops being evicted even
+  /// when it is the coldest by window end. Off = plain coldest-first. The
+  /// binary join ignores it and always spills its oldest slice: its pair
+  /// memo reads a slice only for pairs with newer slices, so past reads
+  /// do not predict future ones (DESIGN.md §13.4).
   bool access_aware_eviction = true;
 };
 
@@ -74,7 +77,8 @@ class SpillClient {
 /// holds a genuinely cold slice — the same read signal that feeds the
 /// per-operator `storage.reload_saves` gauge, applied across operators.
 /// With access-awareness off every report carries 0 reads and the order
-/// degenerates to the original coldest-end-first.
+/// degenerates to the original coldest-end-first. The binary join always
+/// reports 0 reads.
 class MemoryGovernor {
  public:
   /// budget_bytes <= 0 disables enforcement (accounting still runs).

@@ -114,7 +114,7 @@ Status BlockDecoder::Decode(uint32_t stored_bytes, uint32_t raw_bytes) {
   return Status::OK();
 }
 
-Status BlockDecoder::Next(int64_t* key, std::vector<uint8_t>* payload) {
+Status BlockDecoder::NextKey(int64_t* key) {
   if (pos_ + sizeof(uint32_t) > block_.size()) {
     return Status::Internal("entry header overruns block");
   }
@@ -125,9 +125,20 @@ Status BlockDecoder::Next(int64_t* key, std::vector<uint8_t>* payload) {
     return Status::Internal("entry overruns block");
   }
   std::memcpy(key, block_.data() + pos_, sizeof(int64_t));
-  const uint8_t* entry = block_.data() + pos_;
-  payload->assign(entry + sizeof(int64_t), entry + entry_bytes);
+  payload_pos_ = pos_ + sizeof(int64_t);
+  payload_bytes_ = entry_bytes - sizeof(int64_t);
   pos_ += entry_bytes;
+  return Status::OK();
+}
+
+void BlockDecoder::Payload(std::vector<uint8_t>* payload) const {
+  const uint8_t* p = block_.data() + payload_pos_;
+  payload->assign(p, p + payload_bytes_);
+}
+
+Status BlockDecoder::Next(int64_t* key, std::vector<uint8_t>* payload) {
+  ASTREAM_RETURN_IF_ERROR(NextKey(key));
+  Payload(payload);
   return Status::OK();
 }
 

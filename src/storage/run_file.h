@@ -98,6 +98,13 @@ class BlockDecoder {
 
   /// True once every entry of the current block was returned.
   bool AtEnd() const { return pos_ >= block_.size(); }
+  /// Steps over the next entry of the current block and returns its key;
+  /// an error when the entry overruns the block. The payload stays in the
+  /// block until Payload copies it, so a reader that only needs some
+  /// entries copies nothing for the rest.
+  Status NextKey(int64_t* key);
+  /// The payload of the entry NextKey returned last.
+  void Payload(std::vector<uint8_t>* payload) const;
   /// Next entry of the current block; an error when it overruns.
   Status Next(int64_t* key, std::vector<uint8_t>* payload);
 
@@ -105,6 +112,8 @@ class BlockDecoder {
   std::vector<uint8_t> block_;
   std::vector<uint8_t> scratch_;  // compressed bytes before decompression
   size_t pos_ = 0;
+  size_t payload_pos_ = 0;  // the last NextKey entry's payload
+  size_t payload_bytes_ = 0;
 };
 
 /// Immutable run file: the on-disk format of durable checkpoints and

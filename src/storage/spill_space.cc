@@ -204,7 +204,7 @@ Result<SpilledRunPtr> SpillWriter::Finish() {
 SpillReader::SpillReader(SpilledRunPtr run) : run_(std::move(run)) {}
 
 SpillReader::~SpillReader() {
-  if (bytes_read_ > 0) run_->space_->OnReload(bytes_read_, read_time_);
+  if (read_any_) run_->space_->OnReload(read_time_);
 }
 
 void SpillReader::SkipBlocksBelow(int64_t key) {
@@ -228,18 +228,24 @@ void SpillReader::LoadBlock(const SpilledRun::Block& b) {
   }
   if (s.ok()) s = decoder_.Decode(b.stored_bytes, b.raw_bytes);
   if (!s.ok()) throw SpillReadError(s.ToString());
-  bytes_read_ += static_cast<int64_t>(b.extent_bytes());
+  read_any_ = true;
   read_time_ += std::chrono::steady_clock::now() - t0;
 }
 
-bool SpillReader::Next(int64_t* key, std::vector<uint8_t>* payload) {
+bool SpillReader::NextKey(int64_t* key) {
   const auto& blocks = run_->blocks();
   while (decoder_.AtEnd()) {
     if (next_block_ >= blocks.size()) return false;
     LoadBlock(blocks[next_block_++]);
   }
-  const Status s = decoder_.Next(key, payload);
+  const Status s = decoder_.NextKey(key);
   if (!s.ok()) throw SpillReadError(s.ToString());
+  return true;
+}
+
+bool SpillReader::Next(int64_t* key, std::vector<uint8_t>* payload) {
+  if (!NextKey(key)) return false;
+  Payload(payload);
   return true;
 }
 
@@ -336,12 +342,8 @@ void SpillSpace::OnRunReleased(const SpilledRun& run) {
   PublishGauges();
 }
 
-void SpillSpace::OnReload(int64_t bytes,
-                          std::chrono::steady_clock::duration elapsed) {
+void SpillSpace::OnReload(std::chrono::steady_clock::duration elapsed) {
   RecordElapsed(h_reload_ms_, h_reload_us_, elapsed);
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kReload, -1, bytes);
-  }
 }
 
 void SpillSpace::PublishGauges() const {

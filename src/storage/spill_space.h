@@ -182,6 +182,14 @@ class SpillReader {
 
   /// Next entry in key order; false at the end of the run.
   bool Next(int64_t* key, std::vector<uint8_t>* payload);
+  /// Key-first step: the next entry's key, false at the end of the run.
+  /// Its block is read and checked as by Next, but the payload is copied
+  /// only if Payload is called before the next step.
+  bool NextKey(int64_t* key);
+  /// Copies the payload of the entry NextKey returned last.
+  void Payload(std::vector<uint8_t>* payload) const {
+    decoder_.Payload(payload);
+  }
   /// Skips whole blocks whose keys all lie below `key` (not yet read).
   void SkipBlocksBelow(int64_t key);
 
@@ -191,7 +199,7 @@ class SpillReader {
   const SpilledRunPtr run_;
   size_t next_block_ = 0;
   BlockDecoder decoder_;
-  int64_t bytes_read_ = 0;
+  bool read_any_ = false;  // a scan that loaded no block is no reload
   std::chrono::steady_clock::duration read_time_{};
 };
 
@@ -221,7 +229,9 @@ class SpillSpace {
 
   /// Wires gauges (`storage.spill_bytes`, `storage.runs`), latency
   /// histograms (`storage.spill_{ms,us}`, `storage.reload_{ms,us}`) and
-  /// kSpill / kReload trace events. Either pointer may be null.
+  /// kSpill trace events. Either pointer may be null. Reload scans are
+  /// counted and timed in the histograms only: a job makes dozens per
+  /// spill, so one trace event each would fill the sink.
   void BindObs(obs::MetricsRegistry* metrics, obs::TraceSink* trace);
 
   /// The job's single switch for block size and compression (bench legs
@@ -258,7 +268,7 @@ class SpillSpace {
   void OnRunCreated(const SpilledRun& run, SpillWriter::Kind kind,
                     std::chrono::steady_clock::duration elapsed);
   void OnRunReleased(const SpilledRun& run);
-  void OnReload(int64_t bytes, std::chrono::steady_clock::duration elapsed);
+  void OnReload(std::chrono::steady_clock::duration elapsed);
   void PublishGauges() const;
 
   const std::string dir_;

@@ -365,5 +365,66 @@ TEST(MetricsSnapshotTest, PollsOperatorCountersWhileThreadedJobsRun) {
   }
 }
 
+// Metered state shares are apportioned over each operator's hosted
+// queries. The control thread computes them (MeteredCosts, metered
+// snapshots) while the task threads apply the submit/cancel changelogs,
+// so they must read a published copy, never the live query table.
+TEST(MetricsSnapshotTest, MeteredCostsWhileThreadedChurnRuns) {
+  ManualClock clock;
+  AStreamJob::Options options;
+  options.topology = Kind::kAggregation;
+  options.parallelism = 2;
+  options.threaded = true;
+  options.clock = &clock;
+  options.session.batch_size = 1;
+  options.meter_costs = true;
+  auto job = std::move(AStreamJob::Create(options)).value();
+  ASSERT_TRUE(job->Start().ok());
+
+  std::vector<QueryId> live;
+  auto submit = [&](TimestampMs length) {
+    const auto id = job->Submit(*QueryBuilder::Aggregation()
+                                     .SlidingWindow(length, length / 2)
+                                     .Agg(spe::AggKind::kSum, 1)
+                                     .Build());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    live.push_back(*id);
+  };
+  submit(100);
+  submit(60);
+  job->Pump(true);
+
+  Rng rng(29);
+  TimestampMs t = 1;
+  bool saw_shares = false;
+  for (int i = 0; i < 1200; ++i) {
+    t += rng.UniformInt(0, 2);
+    clock.SetMs(t);
+    job->Push(0, t, Row{rng.UniformInt(0, 7), rng.UniformInt(0, 99)});
+    if (i % 20 == 19) job->PushWatermark(t);
+    if (i % 40 == 39) {
+      // Churn: retire the oldest query, admit one with a new window.
+      ASSERT_TRUE(job->Cancel(live.front()).ok());
+      live.erase(live.begin());
+      submit(40 + 20 * (i / 40 % 4));
+      job->Pump(true);
+    }
+    if (i % 5 == 4) {
+      for (const auto& [id, cost] : job->MeteredCosts()) {
+        EXPECT_GE(cost, 0) << "query " << id;
+      }
+      const obs::MetricsRegistry::Snapshot snap = job->MetricsSnapshot();
+      for (QueryId id : live) {
+        if (snap.gauges.count("query." + std::to_string(id) +
+                              ".cost_state_bytes") > 0) {
+          saw_shares = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(job->FinishAndWait().ok());
+  EXPECT_TRUE(saw_shares);
+}
+
 }  // namespace
 }  // namespace astream::core

@@ -5,6 +5,8 @@
 #include <map>
 
 #include "common/rng.h"
+#include "storage/compactor.h"
+#include "storage/spill_space.h"
 
 namespace astream::core {
 namespace {
@@ -148,6 +150,142 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, StoreModeEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Values(1, 3, 8, 16)));
+
+/// A spilled join side and its twin that keeps the same tuples resident.
+struct SpilledSide {
+  TupleStore spilled;
+  TupleStore resident;
+};
+
+QuerySet RandomTags(Rng* rng, int num_queries) {
+  QuerySet tags;
+  for (int q = 0; q < num_queries; ++q) {
+    if (rng->Bernoulli(0.5)) tags.Set(q);
+  }
+  if (tags.None()) tags.Set(rng->UniformInt(0, num_queries - 1));
+  return tags;
+}
+
+/// `runs` spills of random tuples, then a resident tail of `tail` tuples.
+SpilledSide MakeSpilledSide(Rng* rng, storage::SpillSpace* space,
+                            storage::Compactor* compactor, StoreMode mode,
+                            int runs, int tail, int num_queries) {
+  SpilledSide side{TupleStore(mode), TupleStore(mode)};
+  side.spilled.BindSpill(space);
+  side.spilled.BindCompactor(compactor);
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const Row row{rng->UniformInt(0, 15), rng->UniformInt(0, 999)};
+      const QuerySet tags = RandomTags(rng, num_queries);
+      side.spilled.Insert(row, tags);
+      side.resident.Insert(row, tags);
+    }
+  };
+  for (int r = 0; r < runs; ++r) {
+    insert(static_cast<int>(rng->UniformInt(20, 60)));
+    EXPECT_GT(side.spilled.SpillToDisk(), 0u);
+  }
+  insert(tail);
+  EXPECT_EQ(side.spilled.HasSpill(), runs > 0);
+  EXPECT_EQ(side.spilled.NumResidentTuples(), static_cast<size_t>(tail));
+  return side;
+}
+
+TupleStore RandomResidentStore(Rng* rng, StoreMode mode, int n,
+                               int num_queries) {
+  TupleStore store(mode);
+  for (int i = 0; i < n; ++i) {
+    // Keys 8..23 overlap the spilled side's 0..15 in half, so some spilled
+    // entries hit the resident index and some miss it.
+    store.Insert(Row{rng->UniformInt(8, 23), rng->UniformInt(0, 999)},
+                 RandomTags(rng, num_queries));
+  }
+  return store;
+}
+
+std::unique_ptr<storage::SpillSpace> SmallBlockSpace() {
+  auto space = storage::SpillSpace::Create("");
+  EXPECT_TRUE(space.ok()) << space.status().ToString();
+  storage::SpillSpace::WriterOptions wo;
+  wo.block_bytes = 256;  // several blocks per run
+  space.value()->SetWriterOptions(wo);
+  return std::move(space).value();
+}
+
+StoreMode RandomMode(Rng* rng) {
+  return rng->Bernoulli(0.5) ? StoreMode::kList : StoreMode::kGrouped;
+}
+
+/// Property: a join whose one side holds 0-3 spilled runs plus a resident
+/// tail (the probe path) emits exactly the (left, right, tags) multiset of
+/// the same tuples held fully resident, with the spilled side on either
+/// port, in either layout, and under masks with cleared bits.
+TEST(SliceStoreJoinTest, ProbeMatchesResidentJoin) {
+  auto space = SmallBlockSpace();
+  int probed = 0;  // seeds whose spilled side has runs and outputs
+  for (int seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int num_queries = static_cast<int>(rng.UniformInt(1, 8));
+    const int runs = static_cast<int>(rng.UniformInt(0, 3));
+    const int tail = static_cast<int>(rng.UniformInt(0, 30));
+    SpilledSide side =
+        MakeSpilledSide(&rng, space.get(), nullptr, RandomMode(&rng), runs,
+                        tail, num_queries);
+    const TupleStore other =
+        RandomResidentStore(&rng, RandomMode(&rng), 50, num_queries);
+    QuerySet mask = QuerySet::AllSet(static_cast<size_t>(num_queries));
+    for (int q = 0; q < num_queries; ++q) {
+      if (rng.Bernoulli(0.25)) mask.Reset(q);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", runs " +
+                 std::to_string(runs));
+    const auto want_left = JoinToMultiset(side.resident, other, mask);
+    const auto want_right = JoinToMultiset(other, side.resident, mask);
+    EXPECT_EQ(JoinToMultiset(side.spilled, other, mask), want_left);
+    EXPECT_EQ(JoinToMultiset(other, side.spilled, mask), want_right);
+    if (runs > 0 && !want_left.empty()) ++probed;
+  }
+  EXPECT_GE(probed, 10);
+}
+
+/// Runs on both sides keep the sorted merge; its output matches too.
+TEST(SliceStoreJoinTest, RunsOnBothSidesMatchResidentJoin) {
+  auto space = SmallBlockSpace();
+  for (int seed = 1; seed <= 10; ++seed) {
+    Rng rng(100 + seed);
+    const int num_queries = static_cast<int>(rng.UniformInt(1, 8));
+    SpilledSide a = MakeSpilledSide(&rng, space.get(), nullptr,
+                                    RandomMode(&rng), 2, 10, num_queries);
+    SpilledSide b = MakeSpilledSide(&rng, space.get(), nullptr,
+                                    RandomMode(&rng), 1, 5, num_queries);
+    QuerySet mask = QuerySet::AllSet(static_cast<size_t>(num_queries));
+    if (seed % 2 == 1) mask.Reset(0);
+    EXPECT_EQ(JoinToMultiset(a.spilled, b.spilled, mask),
+              JoinToMultiset(a.resident, b.resident, mask))
+        << "seed " << seed;
+  }
+}
+
+/// The probe adopts a settled compaction before it reads, like the sorted
+/// scan: the folded inputs are released once the join has run.
+TEST(SliceStoreJoinTest, ProbeAdoptsSettledCompaction) {
+  auto space = SmallBlockSpace();
+  storage::Compactor::Options co;
+  co.min_runs = 3;
+  storage::Compactor compactor(space.get(), co);
+  compactor.Start();
+  Rng rng(7);
+  SpilledSide side = MakeSpilledSide(&rng, space.get(), &compactor,
+                                     StoreMode::kList, 3, 0, 4);
+  compactor.Stop();  // the fold has settled; the store has not adopted it
+  EXPECT_EQ(space->num_runs(), 4);  // three inputs + the folded output
+  const TupleStore other =
+      RandomResidentStore(&rng, StoreMode::kGrouped, 40, 4);
+  const QuerySet mask = QuerySet::AllSet(4);
+  EXPECT_EQ(JoinToMultiset(side.spilled, other, mask),
+            JoinToMultiset(side.resident, other, mask));
+  EXPECT_EQ(space->num_runs(), 1);
+}
 
 TEST(AggStoreTest, AddSlotAccumulatorFinalize) {
   AggStore s;

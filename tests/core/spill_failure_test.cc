@@ -86,6 +86,30 @@ TEST(SpillFailureTest, TupleStoreScansThrowOnDamagedRun) {
                SpillReadError);
 }
 
+// The probe path reads every block of the spilled side and checks it
+// before it looks up a single key, so a damaged run fails the join even
+// when none of its keys is on the resident side.
+TEST(SpillFailureTest, ProbeThrowsOnDamagedRunWhoseKeysAllMiss) {
+  auto space = NewSpace();
+  TupleStore store = SpilledTupleStore(space.get());  // keys 0..16
+  TupleStore other(StoreMode::kList);
+  for (int i = 0; i < 17; ++i) other.Insert(Tuple(100 + i, -i), Slots(2));
+  int emitted = 0;
+  const TupleStore::JoinEmit count = [&](const Row&, const Row&, QuerySet) {
+    ++emitted;
+  };
+  TupleStore::Join(store, other, Slots(2), count);
+  TupleStore::Join(other, store, Slots(2), count);
+  EXPECT_EQ(emitted, 0);
+
+  DamageSegment(space->segment().path());
+  EXPECT_THROW(TupleStore::Join(store, other, Slots(2), count),
+               SpillReadError);
+  EXPECT_THROW(TupleStore::Join(other, store, Slots(2), count),
+               SpillReadError);
+  EXPECT_EQ(emitted, 0);
+}
+
 TEST(SpillFailureTest, AggStoreMergedScanThrowsOnDamagedRun) {
   auto space = NewSpace();
   AggStore store;
