@@ -136,9 +136,11 @@ else
   echo "== tsan: threaded/batched/ring equivalence + channel + observability =="
   # TSAN_OPTIONS makes any race a hard failure. The metered-cost leg polls
   # per-query state shares from the control thread during query churn.
+  # Chained router replicas call the result callback and ack changelogs
+  # from every selection and windowed task thread of one job.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*:MetricsSnapshotTest.MeteredCostsWhileThreadedChurnRuns'
+    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*:MetricsSnapshotTest.MeteredCostsWhileThreadedChurnRuns:*ChainedStage*:*ChainedRouter*'
 
   echo "== tsan: contended channel/ring stress (closed-wins race, SPSC handoff, CoW reads) =="
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \

@@ -228,12 +228,15 @@ spe::TopologySpec AStreamJob::BuildTopology() {
   }
 
   // The router: raw stream-0 tuples of selection queries on port 0,
-  // windowed results on port 1.
+  // windowed results on port 1. It is a stateless fan-out, so it is
+  // chained: each stream-0 selection instance runs a port-0 replica and
+  // each windowed instance a port-1 replica on its own thread, and no
+  // result row crosses a thread on its way to the sink.
   spe::StageSpec router;
   router.name = "router";
-  router.parallelism = par;
   router.num_ports = 2;
   router.is_sink = true;
+  router.chained = true;
   router.factory = [this, track,
                     overhead](int) -> std::unique_ptr<spe::Operator> {
     RouterOperator::Config cfg;
@@ -250,11 +253,16 @@ spe::TopologySpec AStreamJob::BuildTopology() {
   };
   router.inputs = {{sel_stages[0], 0, spe::Partitioning::kHash},
                    {s_windowed, 1, spe::Partitioning::kHash}};
-  spec.AddStage(std::move(router));
+  const int s_router = spec.AddStage(std::move(router));
 
   selection_stages_ = sel_stages;
+  // Counted in instances the runner builds, so router replicas count once
+  // each: every replica snapshots at a barrier and acks every changelog.
+  router_instances_ = spec.NumInstances(s_router);
   total_instances_ = 0;
-  for (const auto& s : spec.stages()) total_instances_ += s.parallelism;
+  for (int s = 0; s < static_cast<int>(spec.stages().size()); ++s) {
+    total_instances_ += static_cast<size_t>(spec.NumInstances(s));
+  }
   return spec;
 }
 
@@ -325,8 +333,9 @@ void AStreamJob::HandleSink(int stage, int instance,
       std::vector<std::pair<QueryId, TimestampMs>> latencies;
       {
         std::lock_guard<std::mutex> lock(session_mutex_);
+        // Deployed once every router replica applied it.
         const int acks = ++epoch_acks_[el.marker.epoch];
-        if (acks < options_.parallelism) return;
+        if (acks < router_instances_) return;
         epoch_acks_.erase(el.marker.epoch);
         session_.OnEpochDeployed(el.marker.epoch, clock_->NowMs(),
                                  &latencies);

@@ -34,8 +34,11 @@ namespace astream::core {
 ///   3. From ONE control thread: Push/PushWatermark data in event-time
 ///      order, Submit/Cancel queries, and Pump() to flush session batches
 ///      (markers are woven into the streams).
-///   4. Results arrive on the result callback (sink threads in threaded
-///      mode, inline in sync mode), tagged with their query id.
+///   4. Results arrive on the result callback, tagged with their query id:
+///      inline in sync mode; in threaded mode concurrently, on the task
+///      thread that produced them (the selection task for selection
+///      queries, the windowed task for windowed results), since the router
+///      runs chained onto those tasks. The callback must be thread-safe.
 ///   5. FinishAndWait() or Stop().
 class AStreamJob {
  public:
@@ -186,8 +189,9 @@ class AStreamJob {
   /// changelogs injected. Call regularly from the control thread.
   int Pump(bool force = false);
 
-  /// Blocks until every flushed changelog has been applied by all router
-  /// instances (the driver's ACK, Fig. 5). Sync mode: immediate.
+  /// Blocks until every changelog that some router replica has applied is
+  /// applied by all of them (the driver's ACK, Fig. 5). Sync mode:
+  /// immediate.
   bool WaitForDeployment(TimestampMs timeout_ms = 10'000);
 
   /// Injects a checkpoint barrier; returns its id. State lands in
@@ -357,7 +361,11 @@ class AStreamJob {
   /// The selection stage stream s (external input s) feeds (filled by
   /// BuildTopology).
   std::vector<int> selection_stages_;
+  /// Instances the runner builds, chained router replicas included: the
+  /// operator snapshots a checkpoint needs.
   size_t total_instances_ = 0;
+  /// Router replicas: the acks a changelog needs to count as deployed.
+  int router_instances_ = 0;
 
   // Raw operator pointers for stats; valid while runner_ lives.
   mutable std::mutex ops_mutex_;
@@ -370,7 +378,7 @@ class AStreamJob {
   // Session + deployment ack state.
   std::mutex session_mutex_;
   std::condition_variable ack_cv_;
-  std::map<int64_t, int> epoch_acks_;  // changelog epoch -> router acks
+  std::map<int64_t, int> epoch_acks_;  // changelog epoch -> replica acks
   int64_t next_mode_epoch_ = 1;
   int64_t next_checkpoint_epoch_ = 1;
 

@@ -119,6 +119,13 @@ Status ActiveQueryTable::Apply(const Changelog& log) {
   return Status::OK();
 }
 
+void ActiveQueryTable::ApplyOrThrow(const Changelog& log) {
+  const Status s = Apply(log);
+  if (!s.ok()) {
+    throw ChangelogApplyError("changelog apply failed: " + s.ToString());
+  }
+}
+
 const ActiveQuery* ActiveQueryTable::QueryAt(int slot) const {
   if (slot < 0 || slot >= static_cast<int>(slots_.size())) return nullptr;
   return slots_[slot].has_value() ? &*slots_[slot] : nullptr;

@@ -2,6 +2,7 @@
 #define ASTREAM_CORE_CHANGELOG_H_
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,17 @@ struct ActiveQuery {
   QueryDescriptor desc;
 };
 
+/// Thrown by a shared operator whose query table cannot apply a changelog
+/// (a deletion of an absent query, a creation in an occupied slot, a
+/// replayed epoch). The table then disagrees with the session and later
+/// outputs could reach the wrong queries, so the task fails the way an
+/// operator exception does: the threaded runner poisons, and a supervised
+/// job recovers from its last checkpoint.
+class ChangelogApplyError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The slot-indexed table of active queries that each shared operator
 /// maintains (Sec. 3.1: "Each operator in AStream keeps a list of active
 /// queries. Once active queries are updated via changelog, operators change
@@ -71,6 +83,8 @@ class ActiveQueryTable {
   /// Applies one changelog batch (deletions first, then creations).
   /// Returns InvalidArgument on slot/id mismatches.
   Status Apply(const Changelog& log);
+  /// Apply for operators: a failure throws ChangelogApplyError.
+  void ApplyOrThrow(const Changelog& log);
 
   /// The query in `slot`, or nullptr if the slot is free.
   const ActiveQuery* QueryAt(int slot) const;

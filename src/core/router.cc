@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "common/logging.h"
-
 namespace astream::core {
 
 RouterOperator::RouterOperator(Config config)
@@ -145,12 +143,7 @@ void RouterOperator::OnMarker(const spe::ControlMarker& marker,
   }
   const Changelog* log = Changelog::FromMarker(marker);
   if (log == nullptr) return;
-  const Status s = table_.Apply(*log);
-  if (!s.ok()) {
-    ASTREAM_LOG(kError, "router")
-        << "changelog apply failed: " << s.ToString();
-    return;
-  }
+  table_.ApplyOrThrow(*log);
   RebuildSlotSeries();
 }
 

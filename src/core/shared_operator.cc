@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "common/logging.h"
 #include "core/window_math.h"
 
 namespace astream::core {
@@ -62,12 +61,7 @@ void SharedWindowedOperator::ApplyChangelog(const Changelog& log) {
     }
   }
 
-  const Status apply_status = table_.Apply(log);
-  if (!apply_status.ok()) {
-    ASTREAM_LOG(kError, "shared-op")
-        << "changelog apply failed: " << apply_status.ToString();
-    return;
-  }
+  table_.ApplyOrThrow(log);
   tracker_.SetNumSlots(table_.num_slots());
 
   for (DrainingQuery& dq : newly_draining) {

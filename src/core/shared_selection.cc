@@ -3,8 +3,6 @@
 #include <chrono>
 #include <map>
 
-#include "common/logging.h"
-
 namespace astream::core {
 
 SharedSelection::SharedSelection(Config config)
@@ -169,12 +167,7 @@ void SharedSelection::OnMarker(const spe::ControlMarker& marker,
   (void)out;
   const Changelog* log = Changelog::FromMarker(marker);
   if (log == nullptr) return;
-  const Status s = table_.Apply(*log);
-  if (!s.ok()) {
-    ASTREAM_LOG(kError, "shared-selection")
-        << "changelog apply failed: " << s.ToString();
-    return;
-  }
+  table_.ApplyOrThrow(*log);
   RebuildIndex();
 }
 

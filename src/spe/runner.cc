@@ -265,9 +265,16 @@ std::vector<std::vector<internal::DownstreamEdge>> BuildDownstream(
   std::vector<std::vector<internal::DownstreamEdge>> down(
       spec.stages().size());
   for (size_t s = 0; s < spec.stages().size(); ++s) {
-    for (const EdgeSpec& e : spec.stages()[s].inputs) {
-      down[e.upstream_stage].push_back(internal::DownstreamEdge{
-          static_cast<int>(s), e.port, e.partitioning});
+    const StageSpec& stage = spec.stages()[s];
+    int replicas = 0;  // a chained stage's replicas, numbered edge by edge
+    for (const EdgeSpec& e : stage.inputs) {
+      internal::DownstreamEdge edge{static_cast<int>(s), e.port,
+                                    e.partitioning};
+      if (stage.chained) {
+        edge.replica_base = replicas;
+        replicas += spec.stages()[e.upstream_stage].parallelism;
+      }
+      down[e.upstream_stage].push_back(edge);
     }
   }
   return down;
@@ -308,39 +315,107 @@ OperatorContext MakeContext(const TopologySpec& spec, int stage,
   OperatorContext ctx;
   ctx.stage_index = stage;
   ctx.instance_index = instance;
-  ctx.parallelism = spec.stages()[stage].parallelism;
+  ctx.parallelism = spec.NumInstances(stage);
   ctx.stage_name = spec.stages()[stage].name;
   ctx.clock = WallClock::Default();
   return ctx;
 }
 
+/// One runtime slot per instance of every stage, replicas included.
+internal::RuntimeTable MakeRuntimeTable(const TopologySpec& spec) {
+  internal::RuntimeTable table(spec.stages().size());
+  for (size_t s = 0; s < table.size(); ++s) {
+    table[s].resize(spec.NumInstances(static_cast<int>(s)));
+  }
+  return table;
+}
+
 /// Empty output buffers for one instance of a stage with downstream edges
-/// `edges`, indexed [edge][target instance].
+/// `edges`, indexed [edge][target instance]. A chained edge has one
+/// target: the instance's own replica.
 std::vector<std::vector<ElementBatch>> MakeOutputBuffers(
     const TopologySpec& spec,
     const std::vector<internal::DownstreamEdge>& edges) {
   std::vector<std::vector<ElementBatch>> out(edges.size());
   for (size_t e = 0; e < edges.size(); ++e) {
-    out[e].resize(spec.stages()[edges[e].target_stage].parallelism);
+    out[e].resize(edges[e].chained()
+                      ? 1
+                      : spec.stages()[edges[e].target_stage].parallelism);
   }
   return out;
 }
 
+/// Builds and opens the replicas that producer (stage, instance) owns,
+/// indexed by downstream edge (null for edges into ordinary stages), and
+/// files each in `runtimes`. A replica's only sender is the producer on
+/// the edge's port; its records and control elements go to `sink`, which
+/// the replicas hold by reference (the runner's own member outlives them).
+Status OpenReplicas(
+    const TopologySpec& spec,
+    const std::vector<internal::DownstreamEdge>& edges,
+    const std::vector<int>& gid_base, int stage, int instance,
+    const SinkFn& sink, const SnapshotFn& snapshot,
+    std::vector<std::unique_ptr<internal::InstanceRuntime>>* replicas,
+    internal::RuntimeTable* runtimes) {
+  replicas->resize(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const internal::DownstreamEdge& edge = edges[e];
+    if (!edge.chained()) continue;
+    const int target = edge.target_stage;
+    const int replica = edge.replica_base + instance;
+    auto rt = std::make_unique<internal::InstanceRuntime>(
+        target, replica, spec.stages()[target].factory(replica));
+    rt->AddExpectedSender(edge.port, gid_base[stage] + instance);
+    auto to_sink = [&sink, target, replica](const StreamElement& el) {
+      if (sink) sink(target, replica, el);
+    };
+    rt->emit_record = to_sink;
+    rt->forward_control = to_sink;
+    rt->snapshot = snapshot;
+    ASTREAM_RETURN_IF_ERROR(rt->Open(MakeContext(spec, target, replica)));
+    (*runtimes)[target][replica] = rt.get();
+    (*replicas)[e] = std::move(rt);
+  }
+  return Status::OK();
+}
+
+/// Restores every runtime in `runtimes` from its (stage, instance) entry.
+Status RestoreRuntimes(const internal::RuntimeTable& runtimes,
+                       const CheckpointStore::Checkpoint& checkpoint) {
+  for (size_t s = 0; s < runtimes.size(); ++s) {
+    for (size_t i = 0; i < runtimes[s].size(); ++i) {
+      auto it = checkpoint.operator_state.find(CheckpointStore::StateKey(
+          static_cast<int>(s), static_cast<int>(i)));
+      if (it == checkpoint.operator_state.end()) {
+        return Status::NotFound("missing checkpoint state for stage " +
+                                std::to_string(s) + "/" + std::to_string(i));
+      }
+      StateReader reader(it->second);
+      ASTREAM_RETURN_IF_ERROR(runtimes[s][i]->op()->RestoreState(&reader));
+      if (!reader.Ok()) {
+        return Status::Internal("corrupt checkpoint state for stage " +
+                                std::to_string(s));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 /// Appends an emitted record to the output buffers of every edge it
-/// travels (hash edges: the key's instance; other edges: every instance)
-/// and calls `ship(edge, target)` for each buffer that reaches
-/// `batch_size`. Both runners cut output batches through this one rule.
+/// travels (a single-target edge, such as a chained one: its target; hash
+/// edges: the key's instance; other edges: every instance) and calls
+/// `ship(edge, target)` for each buffer that reaches `batch_size`. Both
+/// runners cut output batches through this one rule.
 template <typename Ship>
-void BufferRecord(const TopologySpec& spec,
-                  const std::vector<internal::DownstreamEdge>& edges,
+void BufferRecord(const std::vector<internal::DownstreamEdge>& edges,
                   std::vector<std::vector<ElementBatch>>& out,
                   size_t batch_size, StreamElement&& el, Ship&& ship) {
   const size_t num_edges = edges.size();
   for (size_t e = 0; e < num_edges; ++e) {
-    const internal::DownstreamEdge& edge = edges[e];
-    const int par = spec.stages()[edge.target_stage].parallelism;
-    if (edge.partitioning == Partitioning::kHash) {
-      const int i = internal::InstanceForKey(el.record.row.key(), par);
+    const int par = static_cast<int>(out[e].size());
+    if (par == 1 || edges[e].partitioning == Partitioning::kHash) {
+      const int i =
+          par == 1 ? 0 : internal::InstanceForKey(el.record.row.key(), par);
       ElementBatch& buf = out[e][i];
       if (e + 1 == num_edges) {
         buf.Add(std::move(el));
@@ -379,9 +454,11 @@ Status SyncRunner::Start() {
   gid_base_ = BuildGidBases(spec_);
 
   const auto& stages = spec_.stages();
+  runtimes_ = MakeRuntimeTable(spec_);
   instances_.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     const StageSpec& stage = stages[s];
+    if (stage.chained) continue;  // replicas open with their producers
     for (int i = 0; i < stage.parallelism; ++i) {
       auto rt = std::make_unique<internal::InstanceRuntime>(
           static_cast<int>(s), i, stage.factory(i));
@@ -399,8 +476,13 @@ Status SyncRunner::Start() {
       if (snapshot_) rt->snapshot = snapshot_;
       ASTREAM_RETURN_IF_ERROR(
           rt->Open(MakeContext(spec_, stage_index, instance_index)));
-      instances_[s].push_back(
-          Instance{std::move(rt), MakeOutputBuffers(spec_, downstream_[s])});
+      Instance inst{std::move(rt), MakeOutputBuffers(spec_, downstream_[s]),
+                    {}};
+      ASTREAM_RETURN_IF_ERROR(OpenReplicas(
+          spec_, downstream_[s], gid_base_, stage_index, instance_index,
+          sink_, snapshot_, &inst.replicas, &runtimes_));
+      runtimes_[s][i] = inst.runtime.get();
+      instances_[s].push_back(std::move(inst));
     }
   }
   started_ = true;
@@ -413,11 +495,23 @@ void SyncRunner::DeliverTo(int stage, int instance, BatchEnvelope&& batch) {
   FlushOutputs(stage, instance);
 }
 
+void SyncRunner::DeliverOnEdge(int stage, int instance, size_t edge_idx,
+                               int target, BatchEnvelope&& batch) {
+  const internal::DownstreamEdge& edge = downstream_[stage][edge_idx];
+  if (edge.chained()) {
+    // The replica hands everything to the sink: it has no buffers to flush.
+    instances_[stage][instance].replicas[edge_idx]->DeliverBatch(
+        std::move(batch));
+  } else {
+    DeliverTo(edge.target_stage, target, std::move(batch));
+  }
+}
+
 void SyncRunner::RouteRecord(int stage, int instance, StreamElement&& el) {
   if (spec_.stages()[stage].is_sink && sink_) {
     sink_(stage, instance, el);
   }
-  BufferRecord(spec_, downstream_[stage], instances_[stage][instance].out,
+  BufferRecord(downstream_[stage], instances_[stage][instance].out,
                batch_size_, std::move(el), [&](size_t e, int target) {
                  FlushBuffer(stage, instance, e, target);
                });
@@ -429,14 +523,17 @@ void SyncRunner::RouteControl(int stage, int instance,
     sink_(stage, instance, el);
   }
   // Control elements are batch boundaries: records emitted before them
-  // reach every target first.
+  // reach every target first. A chained edge's one target is the replica.
   FlushOutputs(stage, instance);
   const int sender = gid_base_[stage] + instance;
-  for (const internal::DownstreamEdge& edge : downstream_[stage]) {
-    const int par = static_cast<int>(instances_[edge.target_stage].size());
-    for (int i = 0; i < par; ++i) {
-      DeliverTo(edge.target_stage, i,
-                BatchEnvelope::Single(edge.port, sender, el));
+  const size_t num_edges = downstream_[stage].size();
+  for (size_t e = 0; e < num_edges; ++e) {
+    const int targets =
+        static_cast<int>(instances_[stage][instance].out[e].size());
+    for (int i = 0; i < targets; ++i) {
+      DeliverOnEdge(stage, instance, e, i,
+                    BatchEnvelope::Single(downstream_[stage][e].port, sender,
+                                          el));
     }
   }
 }
@@ -445,18 +542,19 @@ void SyncRunner::FlushBuffer(int stage, int instance, size_t edge_idx,
                              int target) {
   ElementBatch& buf = instances_[stage][instance].out[edge_idx][target];
   if (buf.empty()) return;
-  const internal::DownstreamEdge& edge = downstream_[stage][edge_idx];
-  DeliverTo(edge.target_stage, target,
-            BatchEnvelope{edge.port, gid_base_[stage] + instance,
-                          std::move(buf)});
+  DeliverOnEdge(stage, instance, edge_idx, target,
+                BatchEnvelope{downstream_[stage][edge_idx].port,
+                              gid_base_[stage] + instance, std::move(buf)});
 }
 
 void SyncRunner::FlushOutputs(int stage, int instance) {
-  const size_t num_edges = downstream_[stage].size();
+  // Sized by the instance's own buffers: a chained edge has one target,
+  // and its stage has no instances of its own.
+  const size_t num_edges = instances_[stage][instance].out.size();
   for (size_t e = 0; e < num_edges; ++e) {
-    const int par = static_cast<int>(
-        instances_[downstream_[stage][e].target_stage].size());
-    for (int i = 0; i < par; ++i) FlushBuffer(stage, instance, e, i);
+    const int targets =
+        static_cast<int>(instances_[stage][instance].out[e].size());
+    for (int i = 0; i < targets; ++i) FlushBuffer(stage, instance, e, i);
   }
 }
 
@@ -540,29 +638,12 @@ void SyncRunner::FinishAndWait() {
 void SyncRunner::Cancel() { cancelled_ = true; }
 
 Status SyncRunner::Restore(const CheckpointStore::Checkpoint& checkpoint) {
-  for (size_t s = 0; s < instances_.size(); ++s) {
-    for (size_t i = 0; i < instances_[s].size(); ++i) {
-      auto it = checkpoint.operator_state.find(CheckpointStore::StateKey(
-          static_cast<int>(s), static_cast<int>(i)));
-      if (it == checkpoint.operator_state.end()) {
-        return Status::NotFound("missing checkpoint state for stage " +
-                                std::to_string(s) + "/" + std::to_string(i));
-      }
-      StateReader reader(it->second);
-      ASTREAM_RETURN_IF_ERROR(
-          instances_[s][i].runtime->op()->RestoreState(&reader));
-      if (!reader.Ok()) {
-        return Status::Internal("corrupt checkpoint state for stage " +
-                                std::to_string(s));
-      }
-    }
-  }
-  return Status::OK();
+  return RestoreRuntimes(runtimes_, checkpoint);
 }
 
 int64_t SyncRunner::StageRecordsIn(int stage) const {
   int64_t n = 0;
-  for (const Instance& i : instances_[stage]) n += i.runtime->records_in();
+  for (const auto* rt : runtimes_[stage]) n += rt->records_in();
   return n;
 }
 
@@ -578,7 +659,7 @@ const std::string& SyncRunner::StageName(int stage) const {
 
 int64_t SyncRunner::StageRecordsOut(int stage) const {
   int64_t n = 0;
-  for (const Instance& i : instances_[stage]) n += i.runtime->records_out();
+  for (const auto* rt : runtimes_[stage]) n += rt->records_out();
   return n;
 }
 
@@ -607,9 +688,11 @@ Status ThreadedRunner::Start() {
   }
 
   const auto& stages = spec_.stages();
+  runtimes_ = MakeRuntimeTable(spec_);
   tasks_.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     const StageSpec& stage = stages[s];
+    if (stage.chained) continue;  // replicas run on their producers' tasks
     for (int i = 0; i < stage.parallelism; ++i) {
       auto task = std::make_unique<Task>();
       task->runtime = std::make_unique<internal::InstanceRuntime>(
@@ -636,6 +719,10 @@ Status ThreadedRunner::Start() {
       ASTREAM_RETURN_IF_ERROR(
           task->runtime->Open(MakeContext(spec_, stage_index,
                                           instance_index)));
+      ASTREAM_RETURN_IF_ERROR(OpenReplicas(
+          spec_, downstream_[s], gid_base_, stage_index, instance_index,
+          sink_, snapshot_, &task->replicas, &runtimes_));
+      runtimes_[s][i] = task->runtime.get();
       tasks_[s].push_back(std::move(task));
     }
   }
@@ -652,6 +739,7 @@ Status ThreadedRunner::Start() {
       for (auto& task : tasks_[s]) {
         task->out_rings.resize(downstream_[s].size());
         for (size_t e = 0; e < downstream_[s].size(); ++e) {
+          if (downstream_[s][e].chained()) continue;  // direct calls
           auto& targets = tasks_[downstream_[s][e].target_stage];
           task->out_rings[e].resize(targets.size());
           for (size_t i = 0; i < targets.size(); ++i) {
@@ -750,6 +838,12 @@ void ThreadedRunner::PushEdge(Task* task, int stage, size_t edge_idx,
   if (cancelled_.load(std::memory_order_relaxed)) return;
   const internal::DownstreamEdge& edge = downstream_[stage][edge_idx];
   const size_t n = batch.elements.size();
+  if (edge.chained()) {
+    // No queue and no other thread: the replica runs right here.
+    task->replicas[edge_idx]->DeliverBatch(std::move(batch));
+    if (edge_observer_) edge_observer_(edge.target_stage, n);
+    return;
+  }
   bool ok;
   if (!task->out_rings.empty()) {
     // Per-edge SPSC fast path; this task's thread is the sole producer.
@@ -815,7 +909,7 @@ void ThreadedRunner::RouteRecord(int stage, int instance,
     sink_(stage, instance, el);
   }
   Task* task = tasks_[stage][instance].get();
-  BufferRecord(spec_, downstream_[stage], task->out, batch_size_,
+  BufferRecord(downstream_[stage], task->out, batch_size_,
                std::move(el), [&](size_t e, int target) {
                  FlushBuffer(task, stage, e, target);
                });
@@ -832,14 +926,14 @@ void ThreadedRunner::RouteControl(int stage, int instance,
   // They MUST travel the same per-edge source (ring or channel) as this
   // sender's records — marker alignment only needs per-(port, sender) FIFO,
   // and that is exactly what one source per edge provides.
+  // A chained edge's one target is the task's own replica.
   FlushTaskOutputs(task, stage);
   const int sender = gid_base_[stage] + instance;
-  for (size_t e = 0; e < downstream_[stage].size(); ++e) {
-    const internal::DownstreamEdge& edge = downstream_[stage][e];
-    const int par = spec_.stages()[edge.target_stage].parallelism;
-    for (int i = 0; i < par; ++i) {
-      PushEdge(task, stage, e, i,
-               BatchEnvelope::Single(edge.port, sender, el));
+  for (size_t e = 0; e < task->out.size(); ++e) {
+    const int port = downstream_[stage][e].port;
+    for (size_t i = 0; i < task->out[e].size(); ++i) {
+      PushEdge(task, stage, e, static_cast<int>(i),
+               BatchEnvelope::Single(port, sender, el));
     }
   }
 }
@@ -960,36 +1054,20 @@ void ThreadedRunner::Cancel() {
 
 Status ThreadedRunner::Restore(const CheckpointStore::Checkpoint& checkpoint) {
   // Restore must happen before any element flows; tasks are idle (blocked
-  // on empty channels), so touching operator state here is safe.
-  for (size_t s = 0; s < tasks_.size(); ++s) {
-    for (size_t i = 0; i < tasks_[s].size(); ++i) {
-      auto it = checkpoint.operator_state.find(CheckpointStore::StateKey(
-          static_cast<int>(s), static_cast<int>(i)));
-      if (it == checkpoint.operator_state.end()) {
-        return Status::NotFound("missing checkpoint state for stage " +
-                                std::to_string(s) + "/" + std::to_string(i));
-      }
-      StateReader reader(it->second);
-      ASTREAM_RETURN_IF_ERROR(
-          tasks_[s][i]->runtime->op()->RestoreState(&reader));
-      if (!reader.Ok()) {
-        return Status::Internal("corrupt checkpoint state for stage " +
-                                std::to_string(s));
-      }
-    }
-  }
-  return Status::OK();
+  // on empty channels) and replicas run only on their tasks, so touching
+  // operator state here is safe.
+  return RestoreRuntimes(runtimes_, checkpoint);
 }
 
 int64_t ThreadedRunner::StageRecordsIn(int stage) const {
   int64_t n = 0;
-  for (const auto& t : tasks_[stage]) n += t->runtime->records_in();
+  for (const auto* rt : runtimes_[stage]) n += rt->records_in();
   return n;
 }
 
 int64_t ThreadedRunner::StageRecordsOut(int stage) const {
   int64_t n = 0;
-  for (const auto& t : tasks_[stage]) n += t->runtime->records_out();
+  for (const auto* rt : runtimes_[stage]) n += rt->records_out();
   return n;
 }
 

@@ -21,7 +21,9 @@ namespace astream::spe {
 /// Receives everything emitted by sink stages: records, plus forwarded
 /// watermarks / markers / done signals (so exactly-once sinks can see
 /// checkpoint epochs inline with the data). Invoked from task threads in
-/// threaded mode — implementations must be thread-safe.
+/// threaded mode — implementations must be thread-safe. A chained stage's
+/// replicas call it on the task thread of the instance that feeds them,
+/// with the replica index as `instance`.
 using SinkFn =
     std::function<void(int stage, int instance, const StreamElement&)>;
 
@@ -126,7 +128,16 @@ struct DownstreamEdge {
   int target_stage = -1;
   int port = 0;
   Partitioning partitioning = Partitioning::kHash;
+  /// Chained target only: producer instance i feeds its own replica,
+  /// number `replica_base + i`. -1 for an ordinary target.
+  int replica_base = -1;
+
+  bool chained() const { return replica_base >= 0; }
 };
+
+/// Every instance runtime of a started topology, indexed
+/// [stage][instance]; a chained stage's entries are its replicas.
+using RuntimeTable = std::vector<std::vector<InstanceRuntime*>>;
 
 /// Deterministic key → instance routing, identical across stages so that
 /// co-partitioned operators (e.g. the two inputs of a keyed join) agree.
@@ -196,7 +207,8 @@ class Runner {
 /// reaches `batch_size`, before the instance forwards any control element,
 /// and when the delivery that produced the records returns. The size cap
 /// bounds how long a long trigger holds its first results. `batch_size = 1`
-/// reproduces record-at-a-time depth-first order.
+/// reproduces record-at-a-time depth-first order. A buffer into a chained
+/// stage goes to the producer's own replica (StageSpec::chained).
 class SyncRunner : public Runner {
  public:
   SyncRunner(TopologySpec spec, SinkFn sink, SnapshotFn snapshot = nullptr,
@@ -218,13 +230,21 @@ class SyncRunner : public Runner {
  private:
   struct Instance {
     std::unique_ptr<internal::InstanceRuntime> runtime;
-    // Output buffers, indexed [downstream edge][target instance].
+    // Output buffers, indexed [downstream edge][target instance]; an edge
+    // into a chained stage has one target, this instance's replica.
     std::vector<std::vector<ElementBatch>> out;
+    // Replicas of chained stages, indexed by downstream edge (null for
+    // edges into ordinary stages).
+    std::vector<std::unique_ptr<internal::InstanceRuntime>> replicas;
   };
 
   /// Hands `batch` to one instance, then delivers whatever that delivery
   /// left in the instance's output buffers.
   void DeliverTo(int stage, int instance, BatchEnvelope&& batch);
+  /// Hands `batch` to target `target` of edge `edge_idx` of the producer
+  /// (stage, instance): its replica for a chained edge, else DeliverTo.
+  void DeliverOnEdge(int stage, int instance, size_t edge_idx, int target,
+                     BatchEnvelope&& batch);
   void RouteRecord(int stage, int instance, StreamElement&& el);
   void RouteControl(int stage, int instance, const StreamElement& el);
   void FlushBuffer(int stage, int instance, size_t edge_idx, int target);
@@ -235,8 +255,9 @@ class SyncRunner : public Runner {
   SinkFn sink_;
   SnapshotFn snapshot_;
   const size_t batch_size_;
-  // instances_[stage][instance]
+  // instances_[stage][instance]; empty for a chained stage.
   std::vector<std::vector<Instance>> instances_;
+  internal::RuntimeTable runtimes_;
   std::vector<std::vector<internal::DownstreamEdge>> downstream_;
   std::vector<int> gid_base_;
   bool started_ = false;
@@ -244,10 +265,11 @@ class SyncRunner : public Runner {
   bool finished_ = false;
 };
 
-/// Observation hook invoked after every successful channel push with the
-/// target stage and the number of elements in the pushed batch. Runs on
-/// producer threads — implementations must be thread-safe (the obs layer
-/// wires this to a per-edge batch-size histogram).
+/// Observation hook invoked after every successful channel push (and every
+/// hand-off to a chained replica) with the target stage and the number of
+/// elements in the batch. Runs on producer threads — implementations must
+/// be thread-safe (the obs layer wires this to a per-edge batch-size
+/// histogram).
 using EdgePushObserver = std::function<void(int stage, size_t batch_size)>;
 
 /// Multi-threaded execution: one task thread and one bounded input side
@@ -269,6 +291,10 @@ using EdgePushObserver = std::function<void(int stage, size_t batch_size)>;
 /// (so added latency is bounded by one upstream batch — the task-level
 /// linger), or before any control element is forwarded (markers and
 /// watermarks are batch boundaries; per-edge FIFO order is preserved).
+///
+/// A chained stage (StageSpec::chained) gets no task: each producing task
+/// runs its own replica of it and hands it batches and control elements
+/// by a direct call, so nothing the replica reads crosses a thread.
 class ThreadedRunner : public Runner {
  public:
   /// `channel_capacity` bounds each instance's input queue (in elements for
@@ -341,9 +367,13 @@ class ThreadedRunner : public Runner {
     // Output accumulators, indexed [downstream edge][target instance].
     // Touched only by this task's thread.
     std::vector<std::vector<ElementBatch>> out;
-    // Producer handles into downstream inboxes, same indexing as `out`.
-    // Empty (ring mode off) => push via the target's external channel.
+    // Producer handles into downstream inboxes, same indexing as `out`
+    // (empty for a chained edge). Empty (ring mode off) => push via the
+    // target's external channel.
     std::vector<std::vector<SpscRing*>> out_rings;
+    // Replicas of chained stages, indexed by downstream edge (null for
+    // edges into ordinary stages). Run on this task's thread.
+    std::vector<std::unique_ptr<internal::InstanceRuntime>> replicas;
   };
 
   void TaskLoop(Task* task);
@@ -354,8 +384,9 @@ class ThreadedRunner : public Runner {
   void RouteControl(int stage, int instance, const StreamElement& el);
   void FlushBuffer(Task* task, int stage, size_t edge_idx, int target);
   void FlushTaskOutputs(Task* task, int stage);
-  /// Push along an internal edge: the producing task's dedicated SPSC ring
-  /// when rings are on, the target's mutex channel otherwise.
+  /// Push along an internal edge: a direct call into the task's replica
+  /// for a chained edge, else the producing task's dedicated SPSC ring when
+  /// rings are on, the target's mutex channel otherwise.
   void PushEdge(Task* task, int stage, size_t edge_idx, int target,
                 BatchEnvelope batch);
   /// Push from an external (non-task) producer: always the mutex channel.
@@ -370,7 +401,9 @@ class ThreadedRunner : public Runner {
   const size_t batch_size_;
   const bool use_spsc_rings_;
   EdgePushObserver edge_observer_;
+  // tasks_[stage][instance]; empty for a chained stage.
   std::vector<std::vector<std::unique_ptr<Task>>> tasks_;
+  internal::RuntimeTable runtimes_;
   std::vector<std::vector<internal::DownstreamEdge>> downstream_;
   std::vector<int> gid_base_;
   std::vector<std::unique_ptr<std::mutex>> input_mutexes_;

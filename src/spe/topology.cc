@@ -4,6 +4,16 @@
 
 namespace astream::spe {
 
+int TopologySpec::NumInstances(int stage) const {
+  const StageSpec& st = stages_[stage];
+  if (!st.chained) return st.parallelism;
+  int replicas = 0;
+  for (const EdgeSpec& e : st.inputs) {
+    replicas += stages_[e.upstream_stage].parallelism;
+  }
+  return replicas;
+}
+
 Status TopologySpec::Validate() const {
   if (stages_.empty()) {
     return Status::InvalidArgument("topology has no stages");
@@ -31,10 +41,25 @@ Status TopologySpec::Validate() const {
         return Status::InvalidArgument("stage '" + stage.name +
                                        "' edge references bad port");
       }
+      if (stages_[e.upstream_stage].chained) {
+        return Status::InvalidArgument(
+            "stage '" + stage.name + "' reads from chained stage '" +
+            stages_[e.upstream_stage].name +
+            "' (a chained stage must have no downstream edges)");
+      }
       fed_ports.insert(e.port);
+    }
+    if (stage.chained && !stage.is_sink) {
+      return Status::InvalidArgument("chained stage '" + stage.name +
+                                     "' must be a sink");
     }
     for (const ExternalInputSpec& in : inputs_) {
       if (in.target_stage == static_cast<int>(s)) {
+        if (stage.chained) {
+          return Status::InvalidArgument(
+              "external input '" + in.name + "' feeds chained stage '" +
+              stage.name + "' (replicas are fed by stages only)");
+        }
         if (in.port < 0 || in.port >= stage.num_ports) {
           return Status::InvalidArgument("external input '" + in.name +
                                          "' references bad port");

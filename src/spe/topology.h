@@ -44,6 +44,16 @@ struct StageSpec {
   /// markers / done signals) is also delivered to the runner's sink
   /// callback.
   bool is_sink = false;
+  /// A chained stage gets no task, inbox or thread of its own. Each
+  /// instance of a stage that feeds it owns a private *replica* of it,
+  /// built by `factory`, whose only sender is that instance on that
+  /// edge's port: batches and control elements reach the replica by a
+  /// direct call on the producer's thread, and everything the replica
+  /// emits or forwards goes to the sink. A chained stage must be a sink
+  /// with no downstream edges and no external input. A record reaches its
+  /// producer's replica whatever its key, so the stage must keep no keyed
+  /// state. `parallelism` is ignored (see TopologySpec::NumInstances).
+  bool chained = false;
 };
 
 /// A dataflow graph description. Build with AddStage/AddExternalInput,
@@ -67,9 +77,15 @@ class TopologySpec {
     return inputs_;
   }
 
+  /// Instances a runner builds for `stage`: its parallelism, or for a
+  /// chained stage one replica per instance of each stage that feeds it,
+  /// numbered edge by edge in `inputs` order.
+  int NumInstances(int stage) const;
+
   /// Structural sanity checks: edges reference earlier stages (the graph is
   /// a DAG in topological order), ports are in range, every stage has a
-  /// factory, every input port of every stage is fed.
+  /// factory, every input port of every stage is fed, and a chained stage
+  /// is a sink that nothing else reads from and no external input feeds.
   Status Validate() const;
 
  private:

@@ -1,11 +1,13 @@
 // Focused unit tests of the shared operators outside full topologies:
-// SharedSelection tagging, RouterOperator fan-out, and QoS statistics.
+// SharedSelection tagging, RouterOperator fan-out, changelogs that do not
+// apply, and QoS statistics.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/qos.h"
 #include "core/router.h"
+#include "core/shared_aggregation.h"
 #include "core/shared_selection.h"
 
 namespace astream::core {
@@ -244,6 +246,38 @@ TEST(RouterOperatorTest, PortFilteredRouting) {
   r2.tags = QuerySet::AllSet(2);
   router.ProcessRecord(1, r2, &out);  // port 1 routes nothing raw
   EXPECT_TRUE(out.records.empty());
+}
+
+// A changelog that deletes a query the operator's table does not hold
+// means the table disagrees with the session. Each shared operator throws
+// (failing its task) instead of running on with a stale table.
+Changelog DeletesAbsentQuery() {
+  return CreateLog(1, 10, {}, {{5, 0}}, 1);
+}
+
+TEST(ChangelogApplyFailureTest, SelectionThrows) {
+  SharedSelection sel(SharedSelection::Config{});
+  RecordingCollector out;
+  EXPECT_THROW(sel.OnMarker(Marker(DeletesAbsentQuery()), &out),
+               ChangelogApplyError);
+}
+
+TEST(ChangelogApplyFailureTest, WindowedOperatorThrows) {
+  SharedAggregation::AggConfig cfg;
+  cfg.shared.hosts = [](const ActiveQuery& q) {
+    return q.desc.kind == QueryKind::kAggregation;
+  };
+  SharedAggregation agg(std::move(cfg));
+  RecordingCollector out;
+  EXPECT_THROW(agg.OnMarker(Marker(DeletesAbsentQuery()), &out),
+               ChangelogApplyError);
+}
+
+TEST(ChangelogApplyFailureTest, RouterThrows) {
+  RouterOperator router({});
+  RecordingCollector out;
+  EXPECT_THROW(router.OnMarker(Marker(DeletesAbsentQuery()), &out),
+               ChangelogApplyError);
 }
 
 TEST(LatencyStatsTest, BasicMoments) {

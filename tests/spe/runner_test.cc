@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "spe/operators.h"
@@ -403,6 +408,284 @@ TEST(ThreadedRunnerTest, MarkerAlignedAcrossParallelInstances) {
   EXPECT_EQ(sink.records.size(), 100u);
   ASSERT_EQ(sink.markers.size(), 1u);
   EXPECT_EQ(sink.markers[0].epoch, 7);
+}
+
+/// The operator of a chained stage in the tests below. Emits
+/// Row{key, seq, port} per record, counts what it saw, and on Close emits
+/// Row{-1, count, instance the state came from}. Its snapshot is that
+/// count plus its own instance index, so a restore shows which replica's
+/// state each replica got back.
+class ReplicaProbe : public Operator {
+ public:
+  int num_ports() const override { return 2; }
+  Status Open(const OperatorContext& ctx) override {
+    instance_ = ctx.instance_index;
+    state_from_ = instance_;
+    return Status::OK();
+  }
+  void ProcessRecord(int port, Record record, Collector* out) override {
+    ++count_;
+    out->Emit(StreamElement::MakeRecord(
+        record.event_time,
+        Row{record.row.At(0), record.row.At(1), static_cast<Value>(port)}));
+  }
+  Status SnapshotState(StateWriter* writer) override {
+    writer->WriteI64(count_);
+    writer->WriteI64(instance_);
+    return Status::OK();
+  }
+  Status RestoreState(StateReader* reader) override {
+    count_ = reader->ReadI64();
+    state_from_ = static_cast<int>(reader->ReadI64());
+    return reader->Ok() ? Status::OK() : Status::Internal("bad probe state");
+  }
+  void Close(Collector* out) override {
+    out->Emit(StreamElement::MakeRecord(0, Row{-1, count_, state_from_}));
+  }
+
+ private:
+  int instance_ = 0;
+  int state_from_ = 0;
+  int64_t count_ = 0;
+};
+
+/// What the sink saw of each chained replica, and on which threads.
+struct ReplicaLog {
+  std::mutex mutex;
+  // Per replica: records (key, seq, port), markers, done signals, the
+  // Close summary and the threads that called the sink.
+  std::map<int, std::vector<std::tuple<Value, Value, Value>>> records;
+  std::map<int, std::vector<ControlMarker>> markers;
+  std::map<int, int> done;
+  std::map<int, std::pair<Value, Value>> summary;
+  std::map<int, std::set<std::thread::id>> threads;
+
+  SinkFn AsFn(int chained_stage) {
+    return [this, chained_stage](int stage, int instance,
+                                 const StreamElement& el) {
+      EXPECT_EQ(stage, chained_stage);
+      std::lock_guard<std::mutex> lock(mutex);
+      threads[instance].insert(std::this_thread::get_id());
+      switch (el.kind) {
+        case ElementKind::kRecord:
+          if (el.record.row.At(0) < 0) {
+            summary[instance] = {el.record.row.At(1), el.record.row.At(2)};
+          } else {
+            records[instance].emplace_back(el.record.row.At(0),
+                                           el.record.row.At(1),
+                                           el.record.row.At(2));
+          }
+          break;
+        case ElementKind::kMarker:
+          markers[instance].push_back(el.marker);
+          break;
+        case ElementKind::kDone:
+          ++done[instance];
+          break;
+        case ElementKind::kWatermark:
+          break;
+      }
+    };
+  }
+};
+
+/// Two pass-through stages `a` and `b` (each `par` instances, each fed by
+/// its own external input) feed one chained sink on ports 0 and 1.
+/// Returns the chained stage's index (2).
+TopologySpec ChainedSpec(int par) {
+  TopologySpec spec;
+  for (const char* name : {"a", "b"}) {
+    StageSpec up;
+    up.name = name;
+    up.parallelism = par;
+    up.factory = [](int) { return std::make_unique<PassThroughOperator>(); };
+    const int s = spec.AddStage(std::move(up));
+    spec.AddExternalInput({name, s, 0, Partitioning::kHash});
+  }
+  StageSpec chain;
+  chain.name = "chain";
+  chain.num_ports = 2;
+  chain.is_sink = true;
+  chain.chained = true;
+  chain.factory = [](int) { return std::make_unique<ReplicaProbe>(); };
+  chain.inputs = {{0, 0, Partitioning::kHash}, {1, 1, Partitioning::kHash}};
+  spec.AddStage(std::move(chain));
+  return spec;
+}
+
+constexpr int kChainStage = 2;
+
+std::unique_ptr<Runner> MakeRunner(bool threaded, TopologySpec spec,
+                                   SinkFn sink, SnapshotFn snapshot) {
+  if (threaded) {
+    return std::make_unique<ThreadedRunner>(std::move(spec), std::move(sink),
+                                            std::move(snapshot), 64,
+                                            /*batch_size=*/4);
+  }
+  return std::make_unique<SyncRunner>(std::move(spec), std::move(sink),
+                                      std::move(snapshot), /*batch_size=*/4);
+}
+
+/// (threaded, parallelism)
+class ChainedStageTest
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+
+// Replica r < par is fed by instance r of `a` on port 0, replica par + r
+// by instance r of `b` on port 1. Each sees exactly its producer's records
+// in push order, fires every marker and barrier on its own, snapshots
+// under (stage, replica), closes on done, and restores its own state.
+TEST_P(ChainedStageTest, ReplicasFollowTheirProducers) {
+  const auto [threaded, par] = GetParam();
+  constexpr int kRows = 200;
+  const int replicas = 2 * par;
+  ASSERT_EQ(ChainedSpec(par).NumInstances(kChainStage), replicas);
+
+  CheckpointStore store;
+  const size_t states = static_cast<size_t>(4 * par);  // a, b, replicas
+  auto snapshot = [&store, states](int64_t id, int stage, int instance,
+                                   std::vector<uint8_t> state) {
+    store.AddOperatorState(id, stage, instance, std::move(state));
+    store.MaybeComplete(id, states);
+  };
+  ReplicaLog log;
+  auto runner =
+      MakeRunner(threaded, ChainedSpec(par), log.AsFn(kChainStage), snapshot);
+  ASSERT_TRUE(runner->Start().ok());
+  ASSERT_EQ(runner->NumStages(), 3);
+  if (threaded) {
+    // No task, inbox or thread for the chained stage.
+    auto* t = static_cast<ThreadedRunner*>(runner.get());
+    const auto health = t->SampleTaskHealth();
+    EXPECT_EQ(health.size(), static_cast<size_t>(2 * par));
+    for (const auto& h : health) EXPECT_NE(h.stage, kChainStage);
+    EXPECT_EQ(t->StageQueuedElements(kChainStage), 0u);
+  }
+
+  ControlMarker changelog;
+  changelog.kind = MarkerKind::kChangelog;
+  changelog.epoch = 7;
+  changelog.time = 100;
+  for (int i = 0; i < kRows; ++i) {
+    runner->Push(i % 2, StreamElement::MakeRecord(i, Row{i / 2, i}));
+    if (i == kRows / 2) runner->InjectMarker(changelog);
+  }
+  store.BeginCheckpoint(3, {});
+  ControlMarker barrier;
+  barrier.kind = MarkerKind::kCheckpointBarrier;
+  barrier.epoch = 3;
+  barrier.time = kRows;
+  runner->InjectMarker(barrier);
+  runner->FinishAndWait();
+  ASSERT_TRUE(runner->Failure().ok());
+
+  EXPECT_EQ(runner->StageRecordsIn(kChainStage), kRows);
+  // + one Close summary per replica.
+  EXPECT_EQ(runner->StageRecordsOut(kChainStage), kRows + replicas);
+  std::set<Value> seen;
+  for (int r = 0; r < replicas; ++r) {
+    const Value port = r < par ? 0 : 1;
+    const int producer = r % par;
+    Value last_seq = -1;
+    for (const auto& [key, seq, p] : log.records[r]) {
+      EXPECT_EQ(p, port) << "replica " << r;
+      EXPECT_EQ(seq % 2, port) << "replica " << r;
+      EXPECT_EQ(internal::InstanceForKey(key, par), producer);
+      EXPECT_GT(seq, last_seq) << "replica " << r << " reordered";
+      last_seq = seq;
+      EXPECT_TRUE(seen.insert(seq).second) << "seq " << seq << " twice";
+    }
+    ASSERT_EQ(log.markers[r].size(), 2u) << "replica " << r;
+    EXPECT_EQ(log.markers[r][0].kind, MarkerKind::kChangelog);
+    EXPECT_EQ(log.markers[r][0].epoch, 7);
+    EXPECT_EQ(log.markers[r][1].kind, MarkerKind::kCheckpointBarrier);
+    EXPECT_EQ(log.markers[r][1].epoch, 3);
+    EXPECT_EQ(log.done[r], 1) << "replica " << r;
+    EXPECT_EQ(log.summary[r].first,
+              static_cast<Value>(log.records[r].size()));
+    EXPECT_EQ(log.summary[r].second, r);
+    if (threaded) {
+      // The sink runs on the producer's task thread, one per replica.
+      ASSERT_EQ(log.threads[r].size(), 1u) << "replica " << r;
+      EXPECT_NE(*log.threads[r].begin(), std::this_thread::get_id());
+    }
+  }
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kRows));
+  if (threaded) {
+    std::set<std::thread::id> distinct;
+    for (const auto& [r, ids] : log.threads) distinct.insert(*ids.begin());
+    EXPECT_EQ(distinct.size(), static_cast<size_t>(replicas));
+  }
+
+  // Every replica snapshotted under (stage, replica); a fresh runner
+  // restores each replica from its own entry.
+  const auto checkpoint = store.LatestComplete();
+  ASSERT_NE(checkpoint, nullptr);
+  ASSERT_EQ(checkpoint->operator_state.size(), states);
+  for (int r = 0; r < replicas; ++r) {
+    EXPECT_EQ(checkpoint->operator_state.count(
+                  CheckpointStore::StateKey(kChainStage, r)),
+              1u);
+  }
+  ReplicaLog restored;
+  auto again = MakeRunner(threaded, ChainedSpec(par),
+                          restored.AsFn(kChainStage), nullptr);
+  ASSERT_TRUE(again->Start().ok());
+  ASSERT_TRUE(again->Restore(*checkpoint).ok());
+  again->FinishAndWait();
+  for (int r = 0; r < replicas; ++r) {
+    EXPECT_EQ(restored.summary[r].first,
+              static_cast<Value>(log.records[r].size()))
+        << "replica " << r;
+    EXPECT_EQ(restored.summary[r].second, r) << "replica " << r;
+    EXPECT_EQ(restored.done[r], 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runners, ChainedStageTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+      return std::string(std::get<0>(info.param) ? "Threaded" : "Sync") +
+             "Par" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST(ChainedStageValidateTest, RejectsMisuse) {
+  // A chained stage with a downstream edge.
+  {
+    TopologySpec spec = ChainedSpec(1);
+    StageSpec after;
+    after.name = "after";
+    after.num_ports = 1;
+    after.factory = [](int) { return std::make_unique<PassThroughOperator>(); };
+    after.inputs = {{kChainStage, 0, Partitioning::kHash}};
+    spec.AddStage(std::move(after));
+    EXPECT_FALSE(spec.Validate().ok());
+    SyncRunner runner(std::move(spec), nullptr);
+    EXPECT_FALSE(runner.Start().ok());
+  }
+  // A chained stage that is not a sink.
+  {
+    TopologySpec spec;
+    StageSpec up;
+    up.name = "up";
+    up.factory = [](int) { return std::make_unique<PassThroughOperator>(); };
+    const int s = spec.AddStage(std::move(up));
+    spec.AddExternalInput({"in", s, 0, Partitioning::kHash});
+    StageSpec chain;
+    chain.name = "chain";
+    chain.chained = true;
+    chain.factory = [](int) { return std::make_unique<PassThroughOperator>(); };
+    chain.inputs = {{s, 0, Partitioning::kHash}};
+    spec.AddStage(std::move(chain));
+    EXPECT_FALSE(spec.Validate().ok());
+  }
+  // An external input feeding a chained stage.
+  {
+    TopologySpec spec = ChainedSpec(1);
+    spec.AddExternalInput({"direct", kChainStage, 0, Partitioning::kHash});
+    EXPECT_FALSE(spec.Validate().ok());
+  }
+  EXPECT_TRUE(ChainedSpec(2).Validate().ok());
 }
 
 }  // namespace
