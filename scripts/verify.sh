@@ -59,15 +59,17 @@ echo "== arrangements: sharing on/off vs reference (+ factor rewriting) =="
 # Cross-window state sharing must be invisible: heterogeneous-window
 # fleets (incl. the non-divisor 7s/3s fallback) byte-identical between
 # shared arrangements, the per-query reference mode, the offline
-# reference evaluator, spill budgets, and checkpoint/restore.
+# reference evaluator, spill budgets, and checkpoint/restore. Every span
+# composed from the flat memo blocks must equal a naive per-slice
+# evaluation.
 ./build/tests/astream_tests \
-  --gtest_filter='WindowMathTest.*:FactorRegistryTest.*:FactorSlicingTest.*:FactorSlicingE2ETest.*:ArrangementEquivalenceTest.*'
+  --gtest_filter='WindowMathTest.*:FactorRegistryTest.*:FactorSlicingTest.*:FactorSlicingE2ETest.*:ArrangementEquivalenceTest.*:AggArrangementTest.*'
 
 echo "== arrangements: same legs under an 8 MiB global memory budget =="
 # Memoized compositions are derived state: under the env cap the memo is
 # released first, then cold slices spill — outputs must not move.
 ASTREAM_MEMORY_BUDGET=8m ./build/tests/astream_tests \
-  --gtest_filter='FactorSlicingE2ETest.*:ArrangementEquivalenceTest.*'
+  --gtest_filter='FactorSlicingE2ETest.*:ArrangementEquivalenceTest.*:AggArrangementTest.*'
 
 echo "== micro_arrange: smoke (N-spec sweep, shared vs per-query hashes) =="
 # Exits nonzero if any sweep point's output hash diverges between modes.

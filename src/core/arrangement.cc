@@ -1,5 +1,7 @@
 #include "core/arrangement.h"
 
+#include <algorithm>
+
 namespace astream::core {
 
 TupleStore& TupleArrangement::StoreAt(int64_t version, StoreMode mode) {
@@ -136,10 +138,64 @@ const AggStore* AggArrangement::AtVersion(int64_t version) const {
 
 namespace {
 
-/// Folds (tags, acc) into `groups` with the one-group-per-tag-set rule.
-void FoldInto(std::vector<AggStore::Group>* groups, QuerySet tags,
-              const spe::Accumulator& acc) {
-  for (AggStore::Group& g : *groups) {
+using Composed = AggArrangement::Composed;
+
+/// Rough heap footprint of a composed view (memo accounting only): 64 B
+/// per key plus each group and its tag words. The per-key 64 B overstates
+/// the flat layout's 16 B on purpose: changing it moves the points at
+/// which budgeted jobs release the memo and spill.
+size_t EstimateBytes(const Composed& c) {
+  size_t bytes = 64 * c.NumKeys();
+  for (const AggStore::Group& g : c.groups) {
+    bytes += sizeof(AggStore::Group) + g.tags.NumWords() * 8;
+  }
+  return bytes;
+}
+
+/// A level-0 block: the store's partials laid out once, sorted by key.
+std::shared_ptr<Composed> LayOut(const AggStore& store) {
+  struct Entry {
+    spe::Value key;
+    size_t first;
+    size_t count;
+  };
+  std::vector<Entry> entries;
+  std::vector<AggStore::Group> scratch;
+  store.ForEachGroupsMerged(
+      [&](spe::Value key, const AggStore::Group* groups, size_t n) {
+        entries.push_back(Entry{key, scratch.size(), n});
+        scratch.insert(scratch.end(), groups, groups + n);
+      });
+  // A store without runs iterates its hash map in no order.
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  auto out = std::make_shared<Composed>();
+  out->keys.reserve(entries.size());
+  out->offsets.reserve(entries.size() + 1);
+  out->groups.reserve(scratch.size());
+  for (const Entry& e : entries) {
+    out->keys.push_back(e.key);
+    for (size_t j = e.first; j < e.first + e.count; ++j) {
+      out->groups.push_back(std::move(scratch[j]));
+    }
+    out->offsets.push_back(out->groups.size());
+  }
+  return out;
+}
+
+/// One input of a merge: a view and the bridge mask ANDed onto its tags
+/// (nullptr when the view already ends at the merged span's end).
+struct MergeInput {
+  const Composed* view;
+  const QuerySet* bridge;
+};
+
+/// Folds (tags, acc) into the groups of the key being built, which start
+/// at `first`: one group per distinct tag set, the first seen kept.
+void FoldInto(std::vector<AggStore::Group>* groups, size_t first,
+              QuerySet tags, const spe::Accumulator& acc) {
+  for (size_t i = first; i < groups->size(); ++i) {
+    AggStore::Group& g = (*groups)[i];
     if (g.tags == tags) {
       g.acc.Merge(acc);
       return;
@@ -148,43 +204,57 @@ void FoldInto(std::vector<AggStore::Group>* groups, QuerySet tags,
   groups->push_back(AggStore::Group{std::move(tags), acc});
 }
 
-/// Rough heap footprint of a composed view (memo accounting only).
-size_t EstimateBytes(const AggArrangement::Composed& c) {
-  size_t bytes = 0;
-  for (const auto& [key, groups] : c) {
-    bytes += 64;  // map node
-    for (const AggStore::Group& g : groups) {
-      bytes += sizeof(AggStore::Group) + g.tags.NumWords() * 8;
+/// One linear, key-ordered merge of `inputs`. Under each key the inputs'
+/// groups fold in input order. Groups whose tags die under their bridge
+/// are dropped — their queries must not see data from before their slot
+/// was reassigned — and a key left without groups is dropped with them.
+std::shared_ptr<Composed> Merge(const std::vector<MergeInput>& inputs) {
+  auto out = std::make_shared<Composed>();
+  size_t max_keys = 0;
+  size_t max_groups = 0;
+  for (const MergeInput& in : inputs) {
+    max_keys += in.view->NumKeys();
+    max_groups += in.view->groups.size();
+  }
+  out->keys.reserve(max_keys);
+  out->offsets.reserve(max_keys + 1);
+  out->groups.reserve(max_groups);
+  std::vector<size_t> pos(inputs.size(), 0);
+  for (;;) {
+    // Smallest key at the inputs' heads (few inputs: a linear scan).
+    bool more = false;
+    spe::Value key = 0;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Composed& v = *inputs[i].view;
+      if (pos[i] == v.NumKeys()) continue;
+      if (!more || v.keys[pos[i]] < key) key = v.keys[pos[i]];
+      more = true;
     }
-  }
-  return bytes;
-}
-
-/// Merges `src` (masked to its own span end) into `dst` under `bridge`
-/// (the CL mask from dst's span end back to src's). Groups whose tags die
-/// under the bridge are dropped — their queries must not see data from
-/// before their slot was reassigned.
-void MergeMasked(AggArrangement::Composed* dst,
-                 const AggArrangement::Composed& src,
-                 const QuerySet& bridge) {
-  for (const auto& [key, groups] : src) {
-    std::vector<AggStore::Group>* out = nullptr;
-    for (const AggStore::Group& g : groups) {
-      QuerySet tags = g.tags & bridge;
-      if (tags.None()) continue;
-      if (out == nullptr) out = &(*dst)[key];
-      FoldInto(out, std::move(tags), g.acc);
+    if (!more) break;
+    const size_t first = out->groups.size();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Composed& v = *inputs[i].view;
+      if (pos[i] == v.NumKeys() || v.keys[pos[i]] != key) continue;
+      const std::span<const AggStore::Group> src = v.GroupsOf(pos[i]++);
+      const QuerySet* bridge = inputs[i].bridge;
+      if (bridge == nullptr && out->groups.size() == first) {
+        // A view's groups under one key already have distinct tags.
+        out->groups.insert(out->groups.end(), src.begin(), src.end());
+        continue;
+      }
+      for (const AggStore::Group& g : src) {
+        if (bridge == nullptr) {
+          FoldInto(&out->groups, first, g.tags, g.acc);
+        } else if (g.tags.Intersects(*bridge)) {
+          FoldInto(&out->groups, first, g.tags & *bridge, g.acc);
+        }
+      }
     }
+    if (out->groups.size() == first) continue;
+    out->keys.push_back(key);
+    out->offsets.push_back(out->groups.size());
   }
-}
-
-/// Merge without a bridge (the block already ends at the span end).
-void MergeUnmasked(AggArrangement::Composed* dst,
-                   const AggArrangement::Composed& src) {
-  for (const auto& [key, groups] : src) {
-    auto& out = (*dst)[key];
-    for (const AggStore::Group& g : groups) FoldInto(&out, g.tags, g.acc);
-  }
+  return out;
 }
 
 }  // namespace
@@ -200,15 +270,11 @@ std::shared_ptr<const AggArrangement::Composed> AggArrangement::Block(
     }
     memo_misses_.Add(1);
   }
-  auto out = std::make_shared<Composed>();
+  std::shared_ptr<Composed> out;
   if (level == 0) {
     auto it = stores_.find(base);
-    if (it != stores_.end()) {
-      it->second.ForEachGroupsMerged(
-          [&](spe::Value key, const Group* groups, size_t n) {
-            (*out)[key].assign(groups, groups + n);
-          });
-    }
+    out = it == stores_.end() ? std::make_shared<Composed>()
+                              : LayOut(it->second);
   } else {
     const int64_t half = int64_t{1} << (level - 1);
     auto left = Block(level - 1, base, cl, memoize);
@@ -217,8 +283,8 @@ std::shared_ptr<const AggArrangement::Composed> AggArrangement::Block(
     // child across. Copy the mask: the reference dies at the next ClTable
     // call.
     const QuerySet bridge = cl->Mask(base + 2 * half - 1, base + half - 1);
-    *out = *right;
-    MergeMasked(out.get(), *left, bridge);
+    out = Merge({MergeInput{right.get(), nullptr},
+                 MergeInput{left.get(), &bridge}});
   }
   if (cache) {
     memo_bytes_.Add(static_cast<int64_t>(EstimateBytes(*out)));
@@ -227,11 +293,14 @@ std::shared_ptr<const AggArrangement::Composed> AggArrangement::Block(
   return out;
 }
 
-AggArrangement::Composed AggArrangement::Compose(
+std::shared_ptr<const AggArrangement::Composed> AggArrangement::Compose(
     const std::vector<SliceInfo>& slices, ClTable* cl, bool memoize) {
-  Composed out;
-  if (slices.empty()) return out;
+  if (slices.empty()) return std::make_shared<const Composed>();
   const int64_t last = slices.back().index;
+  std::vector<std::shared_ptr<const Composed>> blocks;
+  // bridges[b] carries blocks[b] to the span end; the last block needs
+  // none.
+  std::vector<QuerySet> bridges;
   int64_t i = slices.front().index;
   while (i <= last) {
     // Largest aligned power-of-two block starting at i that fits in the
@@ -244,20 +313,18 @@ AggArrangement::Composed AggArrangement::Compose(
       ++level;
     }
     const int64_t block_end = i + (int64_t{1} << level) - 1;
-    auto block = Block(level, i, cl, memoize);
-    if (block_end == last) {
-      if (out.empty()) {
-        out = *block;  // common case: the span is one aligned block
-      } else {
-        MergeUnmasked(&out, *block);
-      }
-    } else {
-      const QuerySet bridge = cl->Mask(last, block_end);
-      MergeMasked(&out, *block, bridge);
-    }
+    blocks.push_back(Block(level, i, cl, memoize));
+    if (block_end != last) bridges.push_back(cl->Mask(last, block_end));
     i = block_end + 1;
   }
-  return out;
+  if (blocks.size() == 1) return blocks.front();
+  std::vector<MergeInput> inputs;
+  inputs.reserve(blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    inputs.push_back(MergeInput{
+        blocks[b].get(), b < bridges.size() ? &bridges[b] : nullptr});
+  }
+  return Merge(inputs);
 }
 
 void AggArrangement::EvictThrough(int64_t max_version) {

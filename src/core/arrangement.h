@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -146,6 +147,13 @@ class JoinMemo {
 /// the result is exactly the per-slice masking the pre-arrangement
 /// operator computed, so outputs stay byte-identical.
 ///
+/// Every block and span is an immutable flat view, like one batch of a
+/// shared arrangement: keys ascending, each key's groups contiguous. A
+/// level-0 block is laid out once from its store, sorted by key; an inner
+/// block, or a span of several blocks, is one linear key-ordered merge of
+/// its (block, bridge mask) inputs; a span that is exactly one aligned
+/// block is that block, shared, not copied.
+///
 /// Memo safety: a span is only composed for a trigger whose end is at or
 /// below the watermark, and inserts carry event times at or above it, so
 /// composed slices are frozen; CL masks between existing slices never
@@ -154,8 +162,21 @@ class JoinMemo {
 class AggArrangement {
  public:
   using Group = AggStore::Group;
-  /// Composed view of a span: key -> groups, tags masked to the span end.
-  using Composed = std::map<spe::Value, std::vector<Group>>;
+
+  /// Composed view of a span: keys ascending, the groups of keys[i] at
+  /// groups[offsets[i], offsets[i + 1]), every key with at least one group
+  /// and no two groups of a key with equal tags; tags masked to the span
+  /// end.
+  struct Composed {
+    std::vector<spe::Value> keys;
+    std::vector<size_t> offsets = {0};
+    std::vector<Group> groups;
+
+    size_t NumKeys() const { return keys.size(); }
+    std::span<const Group> GroupsOf(size_t i) const {
+      return {groups.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
+  };
 
   static constexpr int64_t kNoVersion = TupleArrangement::kNoVersion;
   /// Blocks span at most 2^kMaxLevel slices; wider spans compose from
@@ -182,9 +203,11 @@ class AggArrangement {
 
   /// Composes the span covered by `slices` (contiguous, ascending), with
   /// every group's tags masked to the last slice via `cl`. With `memoize`
-  /// set, aligned sub-blocks are cached for reuse by later triggers.
-  Composed Compose(const std::vector<SliceInfo>& slices, ClTable* cl,
-                   bool memoize);
+  /// set, aligned sub-blocks are cached for reuse by later triggers. A
+  /// span that is one aligned block returns that block's view itself (with
+  /// `memoize` and level >= 1, the memo's own).
+  std::shared_ptr<const Composed> Compose(const std::vector<SliceInfo>& slices,
+                                          ClTable* cl, bool memoize);
 
   /// Drops every version <= max_version and every memo block touching one.
   void EvictThrough(int64_t max_version);

@@ -296,7 +296,7 @@ void SharedAggregation::TriggerWindows(
   // Compose the span once for every query in this trigger; with sharing
   // on, aligned sub-blocks land in the arrangement memo and are reused by
   // overlapping windows of this and other queries.
-  const AggArrangement::Composed composed =
+  const std::shared_ptr<const AggArrangement::Composed> composed =
       arrange_.Compose(slices, &tracker().cl_table(), share_arrangements());
 
   int64_t ops = 0;
@@ -318,10 +318,10 @@ void SharedAggregation::TriggerWindows(
     }
     // The composed view's group tags are already masked to the last slice
     // via the CL table, so slot membership alone decides contribution.
-    for (const auto& [key, groups] : composed) {
+    for (size_t k = 0; k < composed->NumKeys(); ++k) {
       spe::Accumulator acc;
       bool any = false;
-      for (const AggArrangement::Group& g : groups) {
+      for (const AggArrangement::Group& g : composed->GroupsOf(k)) {
         if (g.tags.Test(q.slot)) {
           acc.Merge(g.acc);
           any = true;
@@ -331,7 +331,8 @@ void SharedAggregation::TriggerWindows(
       spe::StreamElement el;
       el.kind = spe::ElementKind::kRecord;
       el.record.event_time = result_time;
-      el.record.row = spe::Row{key, acc.Finalize(q.desc.agg.kind)};
+      el.record.row =
+          spe::Row{composed->keys[k], acc.Finalize(q.desc.agg.kind)};
       el.record.tags = QuerySet::Single(q.slot);
       el.record.channel = q.id;
       out->Emit(std::move(el));
