@@ -18,6 +18,7 @@ using spe::Row;
 class NullCollector : public spe::Collector {
  public:
   void Emit(spe::StreamElement) override {}
+  void EmitRun(spe::RecordBatch&) override {}
 };
 
 spe::ControlMarker MakeWorkload(int num_queries, int distinct_constants,

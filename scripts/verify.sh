@@ -139,10 +139,11 @@ else
   # TSAN_OPTIONS makes any race a hard failure. The metered-cost leg polls
   # per-query state shares from the control thread during query churn.
   # Chained router replicas call the result callback and ack changelogs
-  # from every selection and windowed task thread of one job.
+  # from every selection and windowed task thread of one job; sink stages
+  # hand their runs over on those threads.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*:MetricsSnapshotTest.MeteredCostsWhileThreadedChurnRuns:*ChainedStage*:*ChainedRouter*'
+    --gtest_filter='*ThreadedEquivalence*:*BatchedEquivalence*:*RingEquivalence*:*Channel*:*Metrics*:*Histogram*:*TraceSink*:*SeriesCache*:MetricsSnapshotTest.MeteredCostsWhileThreadedChurnRuns:*ChainedStage*:*ChainedRouter*:*SinkRun*:*TriggerWalk*'
 
   echo "== tsan: contended channel/ring stress (closed-wins race, SPSC handoff, CoW reads) =="
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
@@ -158,11 +159,12 @@ else
   # Control thread pushes into per-shard SPSC rings (and is woken by the
   # pumps when it quiesces them) while pump threads drain and deliver
   # through their own egress slots; a callback swap and a split race the
-  # pumps; the threaded equivalence + kill legs cross those with
-  # supervised recovery.
+  # pumps, and pump threads filter runs of mixed ownership after a split;
+  # the threaded equivalence + kill legs cross those with supervised
+  # recovery.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/0:*SyncBatchedEdges*:ExactlyOnceTest.BatchedEdgesSurviveFailure'
+    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/0:*SyncBatchedEdges*:ExactlyOnceTest.BatchedEdgesSurviveFailure:*ShardEgress*'
 
   echo "== tsan: compaction worker (fold thread vs owning-task adoption) =="
   # The worker folds runs off-thread and hands them over through the

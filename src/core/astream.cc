@@ -269,8 +269,9 @@ spe::TopologySpec AStreamJob::BuildTopology() {
 Status AStreamJob::Start() {
   if (started_) return Status::FailedPrecondition("already started");
   spe::TopologySpec spec = BuildTopology();
-  auto sink = [this](int stage, int instance, const spe::StreamElement& el) {
-    HandleSink(stage, instance, el);
+  auto sink = [this](int stage, int instance,
+                     const spe::SinkOutput& output) {
+    HandleSink(stage, instance, output);
   };
   auto snapshot = [this](int64_t id, int stage, int instance,
                          std::vector<uint8_t> state) {
@@ -311,49 +312,47 @@ Status AStreamJob::Start() {
 }
 
 void AStreamJob::HandleSink(int stage, int instance,
-                            const spe::StreamElement& el) {
+                            const spe::SinkOutput& output) {
   (void)stage;
   (void)instance;
-  switch (el.kind) {
-    case spe::ElementKind::kRecord: {
-      const spe::Record& record = el.record;
-      if (record.channel < 0) return;  // unrouted (should not happen)
-      qos_.RecordOutput(record.channel, record.event_time,
-                        clock_->NowMs());
-      std::shared_ptr<const ResultCallback> cb;
-      {
-        std::lock_guard<std::mutex> lock(callback_mutex_);
-        cb = result_callback_;
-      }
-      if (cb != nullptr && *cb) (*cb)(record.channel, record);
-      break;
-    }
-    case spe::ElementKind::kMarker: {
-      if (el.marker.kind != spe::MarkerKind::kChangelog) return;
-      std::vector<std::pair<QueryId, TimestampMs>> latencies;
-      {
-        std::lock_guard<std::mutex> lock(session_mutex_);
-        // Deployed once every router replica applied it.
-        const int acks = ++epoch_acks_[el.marker.epoch];
-        if (acks < router_instances_) return;
-        epoch_acks_.erase(el.marker.epoch);
-        session_.OnEpochDeployed(el.marker.epoch, clock_->NowMs(),
-                                 &latencies);
-      }
-      for (const auto& [id, latency] : latencies) {
-        qos_.RecordDeployment(id, latency);
-        if (m_deploy_latency_ != nullptr) m_deploy_latency_->Record(latency);
-        if (obs::QuerySeries* s = metrics_.SeriesFor(id)) {
-          s->deploy_latency_ms.Record(latency);
-        }
-        trace_.Record(obs::TraceEventKind::kDeployAck, id, latency);
-      }
-      ack_cv_.notify_all();
-      break;
-    }
-    default:
-      break;
+  if (output.control == nullptr) {
+    DeliverRun(output.records);
+    return;
   }
+  const spe::StreamElement& el = *output.control;
+  if (el.kind != spe::ElementKind::kMarker ||
+      el.marker.kind != spe::MarkerKind::kChangelog) {
+    return;
+  }
+  std::vector<std::pair<QueryId, TimestampMs>> latencies;
+  {
+    std::lock_guard<std::mutex> lock(session_mutex_);
+    // Deployed once every router replica applied it.
+    const int acks = ++epoch_acks_[el.marker.epoch];
+    if (acks < router_instances_) return;
+    epoch_acks_.erase(el.marker.epoch);
+    session_.OnEpochDeployed(el.marker.epoch, clock_->NowMs(), &latencies);
+  }
+  for (const auto& [id, latency] : latencies) {
+    qos_.RecordDeployment(id, latency);
+    if (m_deploy_latency_ != nullptr) m_deploy_latency_->Record(latency);
+    if (obs::QuerySeries* s = metrics_.SeriesFor(id)) {
+      s->deploy_latency_ms.Record(latency);
+    }
+    trace_.Record(obs::TraceEventKind::kDeployAck, id, latency);
+  }
+  ack_cv_.notify_all();
+}
+
+void AStreamJob::DeliverRun(std::span<const spe::Record> run) {
+  // Every router output carries its query id in `channel`.
+  qos_.RecordOutputs(run, clock_->NowMs());
+  std::shared_ptr<const ResultRunCallback> cb;
+  {
+    std::lock_guard<std::mutex> lock(callback_mutex_);
+    cb = result_callback_;
+  }
+  if (cb != nullptr && *cb) (*cb)(run);
 }
 
 TimestampMs AStreamJob::ClampToMarkers(TimestampMs event_time) {
@@ -743,8 +742,19 @@ AStreamJob::TaskHealth() const {
   return threaded->SampleTaskHealth();
 }
 
+AStreamJob::ResultRunCallback AStreamJob::PerRow(ResultCallback callback) {
+  if (!callback) return nullptr;
+  return [callback = std::move(callback)](std::span<const spe::Record> run) {
+    for (const spe::Record& r : run) callback(r.channel, r);
+  };
+}
+
 void AStreamJob::SetResultCallback(ResultCallback callback) {
-  auto shared = std::make_shared<const ResultCallback>(std::move(callback));
+  SetResultCallback(PerRow(std::move(callback)));
+}
+
+void AStreamJob::SetResultCallback(ResultRunCallback callback) {
+  auto shared = std::make_shared<const ResultRunCallback>(std::move(callback));
   std::lock_guard<std::mutex> lock(callback_mutex_);
   result_callback_ = std::move(shared);
 }

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/admission.h"
@@ -39,6 +40,8 @@ namespace astream::core {
 ///      thread that produced them (the selection task for selection
 ///      queries, the windowed task for windowed results), since the router
 ///      runs chained onto those tasks. The callback must be thread-safe.
+///      They arrive in runs, one per router call: a run callback sees each
+///      run whole; a per-row callback is called for each row of it.
 ///   5. FinishAndWait() or Stop().
 class AStreamJob {
  public:
@@ -124,6 +127,12 @@ class AStreamJob {
 
   using ResultCallback =
       std::function<void(QueryId, const spe::Record& record)>;
+  /// Receives one run of results; each record's `channel` is its query id.
+  using ResultRunCallback =
+      std::function<void(std::span<const spe::Record> run)>;
+  /// The run callback that calls `callback` for each row of a run, with
+  /// the row's query id.
+  static ResultRunCallback PerRow(ResultCallback callback);
 
   static Result<std::unique_ptr<AStreamJob>> Create(Options options);
   ~AStreamJob();
@@ -231,6 +240,9 @@ class AStreamJob {
   /// in sync mode, which cannot stall).
   std::vector<spe::ThreadedRunner::TaskHealthSample> TaskHealth() const;
 
+  /// Installs the callback every result run goes to; replaces the last.
+  void SetResultCallback(ResultRunCallback callback);
+  /// Per-row callers: installs PerRow(callback).
   void SetResultCallback(ResultCallback callback);
 
   QosMonitor& qos() { return qos_; }
@@ -307,7 +319,9 @@ class AStreamJob {
   /// Ships all buffered source tuples downstream as batches. Called before
   /// watermarks, markers, and shutdown — the batch-boundary rule.
   void FlushSourceBatches();
-  void HandleSink(int stage, int instance, const spe::StreamElement& el);
+  void HandleSink(int stage, int instance, const spe::SinkOutput& output);
+  /// Records QoS for a run of results and hands it to the callback.
+  void DeliverRun(std::span<const spe::Record> run);
   Status ValidateQuery(const QueryDescriptor& desc) const;
   TimestampMs ClampToMarkers(TimestampMs event_time);
 
@@ -383,8 +397,8 @@ class AStreamJob {
   int64_t next_checkpoint_epoch_ = 1;
 
   std::mutex callback_mutex_;
-  /// Shared so the per-row lookup copies a pointer, not the function.
-  std::shared_ptr<const ResultCallback> result_callback_;
+  /// Shared so the per-run lookup copies a pointer, not the function.
+  std::shared_ptr<const ResultRunCallback> result_callback_;
 
   bool started_ = false;
   bool finished_ = false;

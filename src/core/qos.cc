@@ -67,6 +67,21 @@ void QosMonitor::RecordOutput(QueryId query, TimestampMs event_time,
   ++outputs_per_query_[query];
 }
 
+void QosMonitor::RecordOutputs(std::span<const spe::Record> run,
+                               TimestampMs now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  total_outputs_ += static_cast<int64_t>(run.size());
+  size_t i = 0;
+  while (i < run.size()) {
+    const QueryId query = run[i].channel;
+    const size_t begin = i;
+    for (; i < run.size() && run[i].channel == query; ++i) {
+      event_time_latency_.Add(now - run[i].event_time);
+    }
+    outputs_per_query_[query] += static_cast<int64_t>(i - begin);
+  }
+}
+
 void QosMonitor::RecordDeployment(QueryId query, TimestampMs latency) {
   std::lock_guard<std::mutex> lock(mutex_);
   deployment_latency_.Add(latency);

@@ -3,9 +3,11 @@
 
 #include <map>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/query.h"
+#include "spe/element.h"
 
 namespace astream::core {
 
@@ -52,6 +54,10 @@ class QosMonitor {
   /// A result for `query` with event time `event_time` left the system at
   /// wall time `now`.
   void RecordOutput(QueryId query, TimestampMs event_time, TimestampMs now);
+  /// A run of routed results (each record's channel is its query) left the
+  /// system at wall time `now`: one lock, one count update per stretch of
+  /// equal query ids.
+  void RecordOutputs(std::span<const spe::Record> run, TimestampMs now);
 
   /// A create/delete request for `query` took `latency` ms to deploy.
   void RecordDeployment(QueryId query, TimestampMs latency);

@@ -1,5 +1,6 @@
 #include "core/router.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace astream::core {
@@ -17,44 +18,39 @@ RouterOperator::RouterOperator(Config config)
   if (config_.clock == nullptr) config_.clock = WallClock::Default();
 }
 
-void RouterOperator::NoteEmit(QueryId id, obs::QuerySeries* series,
-                              TimestampMs event_time) {
-  obs::QuerySeries* s = series != nullptr ? series : series_cache_.For(id);
+void RouterOperator::NoteEmit(QueryId id, TimestampMs event_time,
+                              int64_t count, TimestampMs now) {
+  obs::QuerySeries* s = series_cache_.For(id);
   if (s == nullptr) return;
-  s->records_emitted.Add();
-  s->event_latency_ms.Record(config_.clock->NowMs() - event_time);
+  s->records_emitted.Add(count);
+  s->event_latency_ms.Record(now - event_time, count);
   if (!s->first_result_seen.load(std::memory_order_relaxed) &&
       !s->first_result_seen.exchange(true, std::memory_order_relaxed) &&
       config_.trace != nullptr) {
     config_.trace->Record(obs::TraceEventKind::kFirstResult, id,
-                          config_.clock->NowMs() - event_time);
+                          now - event_time);
   }
 }
 
-void RouterOperator::RebuildSlotSeries() {
-  if (!metrics_on_) return;
-  slot_series_.assign(table_.num_slots(), nullptr);
-  table_.ForEach([&](const ActiveQuery& q) {
-    slot_series_[q.slot] = series_cache_.For(q.id);
-  });
+void RouterOperator::NoteRun(const spe::RecordBatch& run, TimestampMs now) {
+  size_t i = 0;
+  while (i < run.size()) {
+    size_t j = i + 1;
+    while (j < run.size() && run[j].channel == run[i].channel &&
+           run[j].event_time == run[i].event_time) {
+      ++j;
+    }
+    NoteEmit(run[i].channel, run[i].event_time, static_cast<int64_t>(j - i),
+             now);
+    i = j;
+  }
 }
 
 void RouterOperator::ProcessRecord(int port, spe::Record record,
                                    spe::Collector* out) {
-  std::chrono::steady_clock::time_point start;
-  if (config_.measure_overhead) start = std::chrono::steady_clock::now();
-
-  RouteTally tally;
-  RouteOne(port, std::move(record), out, &tally);
-  Publish(tally);
-
-  if (config_.measure_overhead) {
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    fanout_nanos_.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count(),
-        std::memory_order_relaxed);
-  }
+  spe::RecordBatch one;
+  one.push_back(std::move(record));
+  ProcessBatch(port, one, out);
 }
 
 void RouterOperator::ProcessBatch(int port, spe::RecordBatch& records,
@@ -66,10 +62,31 @@ void RouterOperator::ProcessBatch(int port, spe::RecordBatch& records,
   if (config_.measure_overhead) start = std::chrono::steady_clock::now();
 
   RouteTally tally;
-  for (spe::Record& record : records) {
-    RouteOne(port, std::move(record), out, &tally);
+  spe::RecordBatch* run = &records;
+  if (std::all_of(records.begin(), records.end(),
+                  [](const spe::Record& r) { return r.channel >= 0; })) {
+    // Pre-resolved windowed results: stamped and passed on in place,
+    // keeping their channel stamps.
+    for (spe::Record& r : records) r.epoch = epoch_;
+    tally.routed = static_cast<int64_t>(records.size());
+  } else {
+    run_.clear();
+    for (spe::Record& r : records) {
+      if (r.channel >= 0) {
+        r.epoch = epoch_;
+        ++tally.routed;
+        run_.push_back(std::move(r));
+      } else {
+        FanOut(port, r, &run_, &tally);
+      }
+    }
+    run = &run_;
   }
   Publish(tally);
+  if (!run->empty()) {
+    if (metrics_on_) NoteRun(*run, config_.clock->NowMs());
+    out->EmitRun(*run);
+  }
 
   if (config_.measure_overhead) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -86,48 +103,28 @@ void RouterOperator::Publish(const RouteTally& tally) {
   rows_copied_.Add(tally.copied);
 }
 
-void RouterOperator::RouteOne(int port, spe::Record record,
-                              spe::Collector* out, RouteTally* tally) {
-  if (record.channel >= 0) {
-    // Pre-resolved windowed result: ship as-is, keeping the channel stamp.
+void RouterOperator::FanOut(int port, const spe::Record& record,
+                            spe::RecordBatch* run, RouteTally* tally) {
+  // Raw tuple: ship to every subscribed query's channel. This is the one
+  // place AStream "copies" data (Sec. 3.2.2) — with copy-on-write rows
+  // the per-query fan-out shares the payload (a refcount bump); a real
+  // materialization happens only for degenerate empty rows.
+  record.tags.ForEachSetBit([&](size_t slot) {
+    const ActiveQuery* q = table_.QueryAt(static_cast<int>(slot));
+    if (q == nullptr || !config_.routes_raw(*q, port)) return;
+    spe::Record& copy = run->emplace_back();
+    copy.event_time = record.event_time;
+    copy.row = record.row;
+    copy.tags = QuerySet::Single(slot);
+    copy.channel = q->id;
+    copy.epoch = epoch_;
     ++tally->routed;
-    if (metrics_on_) NoteEmit(record.channel, nullptr, record.event_time);
-    spe::StreamElement el;
-    el.kind = spe::ElementKind::kRecord;
-    el.record = std::move(record);
-    el.record.epoch = epoch_;
-    out->Emit(std::move(el));
-  } else {
-    // Raw tuple: ship to every subscribed query's channel. This is the one
-    // place AStream "copies" data (Sec. 3.2.2) — with copy-on-write rows
-    // the per-query fan-out shares the payload (a refcount bump); a real
-    // materialization happens only for degenerate empty rows.
-    record.tags.ForEachSetBit([&](size_t slot) {
-      const ActiveQuery* q = table_.QueryAt(static_cast<int>(slot));
-      if (q == nullptr || !config_.routes_raw(*q, port)) return;
-      spe::Record copy;
-      copy.event_time = record.event_time;
-      copy.row = record.row;
-      copy.tags = QuerySet::Single(slot);
-      copy.channel = q->id;
-      copy.epoch = epoch_;
-      ++tally->routed;
-      if (copy.row.SharesStorageWith(record.row)) {
-        ++tally->shared;
-      } else {
-        ++tally->copied;
-      }
-      if (metrics_on_) {
-        NoteEmit(q->id, slot < slot_series_.size() ? slot_series_[slot]
-                                                   : nullptr,
-                 record.event_time);
-      }
-      spe::StreamElement el;
-      el.kind = spe::ElementKind::kRecord;
-      el.record = std::move(copy);
-      out->Emit(std::move(el));
-    });
-  }
+    if (copy.row.SharesStorageWith(record.row)) {
+      ++tally->shared;
+    } else {
+      ++tally->copied;
+    }
+  });
 }
 
 void RouterOperator::OnMarker(const spe::ControlMarker& marker,
@@ -144,7 +141,6 @@ void RouterOperator::OnMarker(const spe::ControlMarker& marker,
   const Changelog* log = Changelog::FromMarker(marker);
   if (log == nullptr) return;
   table_.ApplyOrThrow(*log);
-  RebuildSlotSeries();
 }
 
 Status RouterOperator::SnapshotState(spe::StateWriter* writer) {
@@ -156,7 +152,6 @@ Status RouterOperator::SnapshotState(spe::StateWriter* writer) {
 
 Status RouterOperator::RestoreState(spe::StateReader* reader) {
   ASTREAM_RETURN_IF_ERROR(table_.Restore(reader));
-  RebuildSlotSeries();
   records_routed_.Set(reader->ReadI64());
   epoch_ = reader->ReadI64();
   return reader->Ok() ? Status::OK()

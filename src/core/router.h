@@ -20,6 +20,10 @@ namespace astream::core {
 /// Records that already carry an explicit channel id (results of windowed
 /// queries, stamped by the shared join/aggregation) are forwarded without
 /// slot resolution, which keeps routing correct across slot reuse.
+///
+/// Output leaves as one run per input batch (Collector::EmitRun): a batch
+/// of such pre-resolved results is stamped and passed on in place, and
+/// raw fan-out copies are built straight into the run.
 class RouterOperator : public spe::Operator {
  public:
   struct Config {
@@ -44,10 +48,11 @@ class RouterOperator : public spe::Operator {
   explicit RouterOperator(Config config);
 
   int num_ports() const override { return config_.num_ports; }
+  /// A batch of one.
   void ProcessRecord(int port, spe::Record record,
                      spe::Collector* out) override;
-  /// Vectorized path: fans out the whole batch in one pass with one
-  /// overhead-timing sample instead of one per tuple.
+  /// Fans out the whole batch in one pass, with one overhead-timing sample
+  /// and one clock read, and emits it as one run.
   void ProcessBatch(int port, spe::RecordBatch& records,
                     spe::Collector* out) override;
   void OnMarker(const spe::ControlMarker& marker,
@@ -74,19 +79,22 @@ class RouterOperator : public spe::Operator {
   int64_t rows_copied() const { return rows_copied_.Get(); }
 
  private:
-  /// Counts one shipped record and its event-time latency against `id`.
-  void NoteEmit(QueryId id, obs::QuerySeries* series, TimestampMs event_time);
+  /// Counts `count` shipped records of `id` with one event time, and
+  /// their event-time latency at wall time `now`.
+  void NoteEmit(QueryId id, TimestampMs event_time, int64_t count,
+                TimestampMs now);
+  /// NoteEmit once per stretch of equal (channel, event time) in `run`.
+  void NoteRun(const spe::RecordBatch& run, TimestampMs now);
   /// Routing work of one call, added to the counters once at its end.
   struct RouteTally {
     int64_t routed = 0;
     int64_t shared = 0;
     int64_t copied = 0;
   };
-  /// Ships one record to its query channels (shared by both process paths).
-  void RouteOne(int port, spe::Record record, spe::Collector* out,
-                RouteTally* tally);
+  /// Appends one raw tuple's copies, one per subscribed query, to `run`.
+  void FanOut(int port, const spe::Record& record, spe::RecordBatch* run,
+              RouteTally* tally);
   void Publish(const RouteTally& tally);
-  void RebuildSlotSeries();
 
   Config config_;
   ActiveQueryTable table_;
@@ -100,7 +108,8 @@ class RouterOperator : public spe::Operator {
 
   bool metrics_on_ = false;
   obs::SeriesCache series_cache_;
-  std::vector<obs::QuerySeries*> slot_series_;  // raw path, rebuilt per changelog
+  // Output run of a batch that holds raw tuples; reused across batches.
+  spe::RecordBatch run_;
 };
 
 }  // namespace astream::core

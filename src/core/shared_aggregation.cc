@@ -299,6 +299,46 @@ void SharedAggregation::TriggerWindows(
   const std::shared_ptr<const AggArrangement::Composed> composed =
       arrange_.Compose(slices, &tracker().cl_table(), share_arrangements());
 
+  // One column per distinct triggered time-window slot.
+  trigger_slots_.ClearAll();
+  size_t columns = 0;
+  for (const TriggeredQuery& tq : queries) {
+    const ActiveQuery& q = *tq.query;
+    if (!q.desc.window.IsTimeWindow()) continue;
+    const size_t slot = static_cast<size_t>(q.slot);
+    if (slot >= slot_column_.size()) slot_column_.resize(slot + 1, -1);
+    if (slot_column_[slot] >= 0) continue;
+    slot_column_[slot] = static_cast<int>(columns++);
+    trigger_slots_.Set(slot);
+  }
+  if (columns == 0) return;
+
+  // One walk over the span for every triggered query: each group's tags,
+  // ANDed with the triggered slots word by word, name the cells of its key
+  // it merges into. The composed view's group tags are already masked to
+  // the last slice via the CL table, so slot membership alone decides
+  // contribution.
+  const size_t num_keys = composed->NumKeys();
+  cells_.assign(num_keys * columns, Cell{});
+  const size_t words = trigger_slots_.NumWords();
+  for (size_t k = 0; k < num_keys; ++k) {
+    Cell* row = cells_.data() + k * columns;
+    for (const AggArrangement::Group& g : composed->GroupsOf(k)) {
+      const size_t n = std::min(words, g.tags.NumWords());
+      for (size_t w = 0; w < n; ++w) {
+        uint64_t hit = g.tags.Word(w) & trigger_slots_.Word(w);
+        while (hit != 0) {
+          const size_t slot =
+              w * 64 + static_cast<size_t>(__builtin_ctzll(hit));
+          hit &= hit - 1;
+          Cell& cell = row[slot_column_[slot]];
+          cell.acc.Merge(g.acc);
+          cell.hit = true;
+        }
+      }
+    }
+  }
+
   int64_t ops = 0;
   for (const TriggeredQuery& tq : queries) {
     const ActiveQuery& q = *tq.query;
@@ -316,28 +356,20 @@ void SharedAggregation::TriggerWindows(
       }
       if (series != nullptr) series->slices_reused.Add();
     }
-    // The composed view's group tags are already masked to the last slice
-    // via the CL table, so slot membership alone decides contribution.
-    for (size_t k = 0; k < composed->NumKeys(); ++k) {
-      spe::Accumulator acc;
-      bool any = false;
-      for (const AggArrangement::Group& g : composed->GroupsOf(k)) {
-        if (g.tags.Test(q.slot)) {
-          acc.Merge(g.acc);
-          any = true;
-        }
-      }
-      if (!any) continue;
+    const Cell* cell = cells_.data() + slot_column_[q.slot];
+    for (size_t k = 0; k < num_keys; ++k, cell += columns) {
+      if (!cell->hit) continue;
       spe::StreamElement el;
       el.kind = spe::ElementKind::kRecord;
       el.record.event_time = result_time;
       el.record.row =
-          spe::Row{composed->keys[k], acc.Finalize(q.desc.agg.kind)};
+          spe::Row{composed->keys[k], cell->acc.Finalize(q.desc.agg.kind)};
       el.record.tags = QuerySet::Single(q.slot);
       el.record.channel = q.id;
       out->Emit(std::move(el));
     }
   }
+  trigger_slots_.ForEachSetBit([&](size_t slot) { slot_column_[slot] = -1; });
   bitset_ops_.Add(ops);
 }
 

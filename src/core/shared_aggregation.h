@@ -146,6 +146,17 @@ class SharedAggregation : public SharedWindowedOperator,
   OwnedCounter reload_saves_;
   // Scratch query-set reused across the tuples of one batch.
   QuerySet scratch_tags_;
+  /// Trigger scratch, reused across triggers: the triggered time-window
+  /// slots, each one's column (-1 for any other slot), and one cell per
+  /// (composed key, column), key-major, that the trigger's one walk over
+  /// the span merges each hit group into.
+  struct Cell {
+    spe::Accumulator acc;
+    bool hit = false;
+  };
+  QuerySet trigger_slots_;
+  std::vector<int> slot_column_;
+  std::vector<Cell> cells_;
 };
 
 }  // namespace astream::core

@@ -141,11 +141,13 @@ Result<std::shared_ptr<spe::Runner>> BaselineSut::BuildJob(
   }
 
   auto sink_fn = [this, id](int stage, int instance,
-                            const spe::StreamElement& el) {
+                            const spe::SinkOutput& output) {
     (void)stage;
     (void)instance;
-    if (el.kind != spe::ElementKind::kRecord) return;
-    qos_.RecordOutput(id, el.record.event_time, clock_->NowMs());
+    const TimestampMs now = clock_->NowMs();
+    for (const spe::Record& r : output.records) {
+      qos_.RecordOutput(id, r.event_time, now);
+    }
   };
 
   std::shared_ptr<spe::Runner> runner;

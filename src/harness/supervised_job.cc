@@ -220,7 +220,12 @@ Status SupervisedJob::Stop() {
 
 void SupervisedJob::SetResultCallback(
     core::AStreamJob::ResultCallback callback) {
-  auto shared = std::make_shared<const core::AStreamJob::ResultCallback>(
+  SetResultCallback(core::AStreamJob::PerRow(std::move(callback)));
+}
+
+void SupervisedJob::SetResultCallback(
+    core::AStreamJob::ResultRunCallback callback) {
+  auto shared = std::make_shared<const core::AStreamJob::ResultRunCallback>(
       std::move(callback));
   std::lock_guard<std::mutex> lock(cb_mu_);
   user_callback_ = std::move(shared);
@@ -245,15 +250,25 @@ Status SupervisedJob::StandUpJobLocked() {
   job_ = std::move(job).value();
   // Every delivery funnels through the exactly-once filter; the user
   // callback is looked up under its own lock (sink threads must never
-  // contend with control ops that join them).
-  job_->SetResultCallback([this](core::QueryId id, const spe::Record& r) {
-    if (!dedup_.Admit(id, r)) return;
-    std::shared_ptr<const core::AStreamJob::ResultCallback> cb;
+  // contend with control ops that join them). Admitted rows pass on as
+  // stretches of the run, so a run nothing suppresses passes whole.
+  job_->SetResultCallback([this](std::span<const spe::Record> run) {
+    std::shared_ptr<const core::AStreamJob::ResultRunCallback> cb;
     {
       std::lock_guard<std::mutex> lock(cb_mu_);
       cb = user_callback_;
     }
-    if (cb != nullptr && *cb) (*cb)(id, r);
+    size_t begin = 0;
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (dedup_.Admit(run[i].channel, run[i])) continue;
+      if (i > begin && cb != nullptr && *cb) {
+        (*cb)(run.subspan(begin, i - begin));
+      }
+      begin = i + 1;
+    }
+    if (begin < run.size() && cb != nullptr && *cb) {
+      (*cb)(run.subspan(begin));
+    }
   });
   return job_->Start();
 }

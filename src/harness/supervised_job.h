@@ -93,7 +93,10 @@ class SupervisedJob {
   Status Stop();
 
   /// Deliveries are filtered through the exactly-once dedup before
-  /// reaching this callback (sink threads in threaded mode).
+  /// reaching this callback (sink threads in threaded mode): a run arrives
+  /// as its stretches of admitted rows.
+  void SetResultCallback(core::AStreamJob::ResultRunCallback callback);
+  /// Per-row callers: installs AStreamJob::PerRow(callback).
   void SetResultCallback(core::AStreamJob::ResultCallback callback);
 
   /// The current job incarnation (replaced by every recovery).
@@ -150,9 +153,9 @@ class SupervisedJob {
 
   // Separate from mu_: the dedup wrapper runs on sink threads and must
   // never contend with a control-thread op that joins those threads.
-  // Shared so the per-row lookup copies a pointer, not the function.
+  // Shared so the per-run lookup copies a pointer, not the function.
   std::mutex cb_mu_;
-  std::shared_ptr<const core::AStreamJob::ResultCallback> user_callback_;
+  std::shared_ptr<const core::AStreamJob::ResultRunCallback> user_callback_;
 };
 
 }  // namespace astream::harness

@@ -23,10 +23,10 @@ int64_t Histogram::BucketUpperBound(int index) {
   return int64_t{1} << index;
 }
 
-void Histogram::Record(int64_t value) {
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+void Histogram::Record(int64_t value, int64_t count) {
+  buckets_[BucketIndex(value)].fetch_add(count, std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(value * count, std::memory_order_relaxed);
   // min/max via CAS: contended only while a new extreme is being set,
   // which stops happening once the distribution's tails are seen.
   int64_t cur = min_.load(std::memory_order_relaxed);

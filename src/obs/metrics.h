@@ -54,7 +54,9 @@ class Histogram {
   /// Exclusive upper bound of a bucket (INT64_MAX for the overflow bucket).
   static int64_t BucketUpperBound(int index);
 
-  void Record(int64_t value);
+  /// Records `count` observations of `value` (count >= 1) with one add per
+  /// field: a run of results sharing one latency costs what one does.
+  void Record(int64_t value, int64_t count = 1);
 
   /// A consistent-enough copy of the histogram (buckets are read with
   /// relaxed loads; concurrent writers may be mid-update, which shifts a

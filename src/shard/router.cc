@@ -70,8 +70,8 @@ void ShardRouter::InstallCallback(ShardRuntime* runtime, int index) {
   // how SetResultCallback reaches a running shard.
   runtime->SetResultCallback(
       [this, slot = egress_[static_cast<size_t>(index)].get(),
-       callback = user_callback_](core::QueryId id, const spe::Record& r) {
-        Deliver(slot, callback, id, r);
+       callback = user_callback_](std::span<const spe::Record> run) {
+        Deliver(slot, callback, run);
       });
 }
 
@@ -91,22 +91,42 @@ void ShardRouter::PublishPlan(ShardPlan next) {
 
 void ShardRouter::Deliver(EgressSlot* slot,
                           const core::AStreamJob::ResultCallback& callback,
-                          core::QueryId id, const spe::Record& r) {
+                          std::span<const spe::Record> run) {
+  // Ownership filter: every emitted row is keyed by column 0 (selections
+  // pass the input row, joins emit the A side first, aggregations emit
+  // Row{key, value}), so the key's current slot owner is the one shard
+  // allowed to deliver it. After a split, both halves hold the full
+  // pre-split state and both re-emit surviving windows — the filter
+  // keeps exactly the owner's copy, which is what makes the merged
+  // output byte-identical to an unsharded run.
+  std::shared_ptr<const ShardPlan> plan;
+  const auto owned = [&](const spe::Record& r) {
+    return plan->OwnerOfKey(r.row.key()) == slot->index;
+  };
+  const TimestampMs now = clock_->NowMs();
   {
     std::lock_guard<std::mutex> lock(slot->mu);
-    // Ownership filter: every emitted row is keyed by column 0 (selections
-    // pass the input row, joins emit the A side first, aggregations emit
-    // Row{key, value}), so the key's current slot owner is the one shard
-    // allowed to deliver it. After a split, both halves hold the full
-    // pre-split state and both re-emit surviving windows — the filter
-    // keeps exactly the owner's copy, which is what makes the merged
-    // output byte-identical to an unsharded run.
-    if (slot->plan->OwnerOfKey(r.row.key()) != slot->index) return;
-    slot->tally.event_time_latency.Add(clock_->NowMs() - r.event_time);
-    ++slot->tally.total_outputs;
-    ++slot->tally.outputs_per_query[id];
+    plan = slot->plan;  // filters the callbacks below too
+    core::QosMonitor::Snapshot& tally = slot->tally;
+    core::QueryId id = -1;
+    int64_t count = 0;  // owned rows of `id` in the current stretch
+    for (const spe::Record& r : run) {
+      if (!owned(r)) continue;
+      tally.event_time_latency.Add(now - r.event_time);
+      if (r.channel != id) {
+        if (count > 0) tally.outputs_per_query[id] += count;
+        id = r.channel;
+        count = 0;
+      }
+      ++count;
+      ++tally.total_outputs;
+    }
+    if (count > 0) tally.outputs_per_query[id] += count;
   }
-  if (callback) callback(id, r);
+  if (!callback) return;
+  for (const spe::Record& r : run) {
+    if (owned(r)) callback(r.channel, r);
+  }
 }
 
 core::PushResult ShardRouter::Push(StreamId stream, TimestampMs event_time,

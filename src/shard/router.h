@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/qos.h"
@@ -25,7 +26,9 @@ namespace astream::shard {
 /// Egress is share-nothing: each shard delivers through its own
 /// cache-line-aligned EgressSlot (ownership plan, post-filter QoS tally)
 /// and its own copy of the user callback, so no lock, refcount or cache
-/// line on the per-row path is shared between shards.
+/// line on the result path is shared between shards. Results arrive in
+/// runs: one slot lock per run filters and tallies it, then the user's
+/// per-row callback sees each owned row outside the lock.
 ///
 /// Live resharding: MoveShard drains a shard to a (durably persistable)
 /// checkpoint and rebuilds it; SplitShard drains one shard and restores
@@ -107,9 +110,9 @@ class ShardRouter {
  private:
   explicit ShardRouter(JobConfig config);
 
-  /// One shard's egress state. The shard's sink thread(s) take `mu` per
-  /// delivered row; the control thread takes it only to publish a plan or
-  /// read the tally, so the lock is never shared between shards.
+  /// One shard's egress state. The shard's sink thread(s) take `mu` once
+  /// per delivered run; the control thread takes it only to publish a plan
+  /// or read the tally, so the lock is never shared between shards.
   /// Cache-line aligned: neighbouring slots never false-share.
   struct alignas(64) EgressSlot {
     explicit EgressSlot(int index) : index(index) {}
@@ -135,7 +138,7 @@ class ShardRouter {
   void PublishPlan(ShardPlan next);
   void Deliver(EgressSlot* slot,
                const core::AStreamJob::ResultCallback& callback,
-               core::QueryId id, const spe::Record& r);
+               std::span<const spe::Record> run);
   /// Post-filter event-time latency merged over the egress slots.
   core::LatencyStats EgressLatency();
   /// Drains every shard's ingress ring before a control fan-out so all

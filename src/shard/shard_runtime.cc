@@ -189,7 +189,7 @@ void ShardRuntime::Kill(const Status& why) {
 }
 
 void ShardRuntime::SetResultCallback(
-    core::AStreamJob::ResultCallback callback) {
+    core::AStreamJob::ResultRunCallback callback) {
   if (supervised_ != nullptr) {
     supervised_->SetResultCallback(std::move(callback));
   } else if (plain_ != nullptr) {

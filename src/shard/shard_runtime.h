@@ -91,7 +91,7 @@ class ShardRuntime {
   /// operation, replaying from the last checkpoint.
   void Kill(const Status& why);
 
-  void SetResultCallback(core::AStreamJob::ResultCallback callback);
+  void SetResultCallback(core::AStreamJob::ResultRunCallback callback);
 
   /// Current engine incarnation (supervised shards swap it on recovery).
   core::AStreamJob* job();

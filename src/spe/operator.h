@@ -14,24 +14,30 @@
 
 namespace astream::spe {
 
+/// A contiguous run of data records that share one (port, sender)
+/// provenance, handed to Operator::ProcessBatch. The runtime owns the
+/// vector and reuses it across batches; operators may move individual
+/// records out but must not hold on to the vector itself.
+using RecordBatch = std::vector<Record>;
+
 /// Downstream emission interface handed to operators. Implementations route
 /// records by key, broadcast watermarks/markers, or collect into sinks.
 class Collector {
  public:
   virtual ~Collector() = default;
   virtual void Emit(StreamElement element) = 0;
+  /// Emits `records`, in order, as one run. On a sink stage the run takes
+  /// the vector itself when it is the call's first output, so an operator
+  /// that forwards its input batch (the router) passes it on in place
+  /// without moving a record. Takes the records; `records` is left valid
+  /// but unspecified.
+  virtual void EmitRun(RecordBatch& records) = 0;
 
   void EmitRecord(TimestampMs event_time, Row row, DynamicBitset tags = {}) {
     Emit(StreamElement::MakeRecord(event_time, std::move(row),
                                    std::move(tags)));
   }
 };
-
-/// A contiguous run of data records that share one (port, sender)
-/// provenance, handed to Operator::ProcessBatch. The runtime owns the
-/// vector and reuses it across batches; operators may move individual
-/// records out but must not hold on to the vector itself.
-using RecordBatch = std::vector<Record>;
 
 /// Per-instance runtime information available to an operator.
 struct OperatorContext {

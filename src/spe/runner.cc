@@ -25,15 +25,40 @@ int64_t SenderKey(int port, int sender) {
 
 }  // namespace
 
-/// Collector passed to the operator: counts and forwards emitted records.
+/// Collector passed to the operator: counts emitted records and forwards
+/// them, or adds them to a sink stage's run.
 class InstanceRuntime::RecordCollector : public Collector {
  public:
   explicit RecordCollector(InstanceRuntime* owner) : owner_(owner) {}
   void Emit(StreamElement element) override {
     assert(element.kind == ElementKind::kRecord &&
            "operators may only emit records; the runtime forwards control");
-    owner_->records_out_.fetch_add(1, std::memory_order_relaxed);
-    owner_->emit_record(std::move(element));
+    ++owner_->call_out_;
+    if (owner_->emit_run) {
+      owner_->out_run_.push_back(std::move(element.record));
+    } else {
+      owner_->emit_record(std::move(element));
+    }
+  }
+
+  void EmitRun(RecordBatch& records) override {
+    owner_->call_out_ += static_cast<int64_t>(records.size());
+    if (!owner_->emit_run) {
+      // Routing is per record: each one picks its edge buffers by key.
+      for (Record& r : records) {
+        StreamElement el;
+        el.record = std::move(r);
+        owner_->emit_record(std::move(el));
+      }
+      return;
+    }
+    RecordBatch& run = owner_->out_run_;
+    if (run.empty()) {
+      std::swap(run, records);  // in place: no record moves
+    } else {
+      run.insert(run.end(), std::make_move_iterator(records.begin()),
+                 std::make_move_iterator(records.end()));
+    }
   }
 
  private:
@@ -106,6 +131,7 @@ void InstanceRuntime::HandleBatch(int port, int sender,
         }
       }
       op_->ProcessBatch(port, scratch_records_, collector_.get());
+      EndCall();
       continue;
     }
     HandleControl(st, std::move(el[i]));
@@ -181,6 +207,7 @@ void InstanceRuntime::FireMarker(const ControlMarker& marker) {
     // checkpoint barrier, so the snapshot still sees exactly the aligned
     // pre-barrier data state.
     op_->OnMarker(marker, collector_.get());
+    EndCall();
     if (snapshot) {
       Status s = Status::OK();
       if (fault::FaultInjector* inj = fault::ActiveInjector()) {
@@ -210,6 +237,7 @@ void InstanceRuntime::FireMarker(const ControlMarker& marker) {
     return;
   }
   op_->OnMarker(marker, collector_.get());
+  EndCall();
   forward_control(StreamElement::MakeMarker(marker));
 }
 
@@ -221,6 +249,7 @@ void InstanceRuntime::RecomputeWatermark() {
   if (min_wm > current_watermark_) {
     current_watermark_ = min_wm;
     op_->OnWatermark(min_wm, collector_.get());
+    EndCall();
     forward_control(StreamElement::MakeWatermark(min_wm));
   }
 }
@@ -228,8 +257,18 @@ void InstanceRuntime::RecomputeWatermark() {
 void InstanceRuntime::CheckAllDone() {
   if (finished_ || done_senders_ < total_senders_) return;
   op_->Close(collector_.get());
+  EndCall();
   forward_control(StreamElement::MakeDone());
   finished_ = true;
+}
+
+void InstanceRuntime::EndCall() {
+  if (call_out_ == 0) return;
+  records_out_.fetch_add(call_out_, std::memory_order_relaxed);
+  call_out_ = 0;
+  if (out_run_.empty()) return;
+  emit_run(out_run_);
+  out_run_.clear();
 }
 
 void InstanceRuntime::DrainPending() {
@@ -345,10 +384,18 @@ std::vector<std::vector<ElementBatch>> MakeOutputBuffers(
   return out;
 }
 
+/// Hands a sink stage's control element to `sink`.
+void SinkControl(const SinkFn& sink, int stage, int instance,
+                 const StreamElement& el) {
+  SinkOutput output;
+  output.control = &el;
+  sink(stage, instance, output);
+}
+
 /// Builds and opens the replicas that producer (stage, instance) owns,
 /// indexed by downstream edge (null for edges into ordinary stages), and
 /// files each in `runtimes`. A replica's only sender is the producer on
-/// the edge's port; its records and control elements go to `sink`, which
+/// the edge's port; its runs and control elements go to `sink`, which
 /// the replicas hold by reference (the runner's own member outlives them).
 Status OpenReplicas(
     const TopologySpec& spec,
@@ -366,11 +413,18 @@ Status OpenReplicas(
     auto rt = std::make_unique<internal::InstanceRuntime>(
         target, replica, spec.stages()[target].factory(replica));
     rt->AddExpectedSender(edge.port, gid_base[stage] + instance);
-    auto to_sink = [&sink, target, replica](const StreamElement& el) {
-      if (sink) sink(target, replica, el);
-    };
-    rt->emit_record = to_sink;
-    rt->forward_control = to_sink;
+    if (sink) {
+      rt->emit_run = [&sink, target, replica](RecordBatch& run) {
+        sink(target, replica, SinkOutput{run});
+      };
+      rt->forward_control = [&sink, target,
+                             replica](const StreamElement& el) {
+        SinkControl(sink, target, replica, el);
+      };
+    } else {
+      rt->emit_record = [](StreamElement&&) {};
+      rt->forward_control = [](const StreamElement&) {};
+    }
     rt->snapshot = snapshot;
     ASTREAM_RETURN_IF_ERROR(rt->Open(MakeContext(spec, target, replica)));
     (*runtimes)[target][replica] = rt.get();
@@ -465,10 +519,16 @@ Status SyncRunner::Start() {
       RegisterSenders(rt.get(), spec_, gid_base_, static_cast<int>(s));
       const int stage_index = static_cast<int>(s);
       const int instance_index = i;
-      rt->emit_record = [this, stage_index,
-                         instance_index](StreamElement&& el) {
-        RouteRecord(stage_index, instance_index, std::move(el));
-      };
+      if (stage.is_sink && sink_) {
+        rt->emit_run = [this, stage_index, instance_index](RecordBatch& run) {
+          RouteRun(stage_index, instance_index, run);
+        };
+      } else {
+        rt->emit_record = [this, stage_index,
+                           instance_index](StreamElement&& el) {
+          RouteRecord(stage_index, instance_index, std::move(el));
+        };
+      }
       rt->forward_control = [this, stage_index,
                              instance_index](const StreamElement& el) {
         RouteControl(stage_index, instance_index, el);
@@ -507,10 +567,17 @@ void SyncRunner::DeliverOnEdge(int stage, int instance, size_t edge_idx,
   }
 }
 
-void SyncRunner::RouteRecord(int stage, int instance, StreamElement&& el) {
-  if (spec_.stages()[stage].is_sink && sink_) {
-    sink_(stage, instance, el);
+void SyncRunner::RouteRun(int stage, int instance, RecordBatch& run) {
+  sink_(stage, instance, SinkOutput{run});
+  if (downstream_[stage].empty()) return;
+  for (Record& r : run) {
+    StreamElement el;
+    el.record = std::move(r);
+    RouteRecord(stage, instance, std::move(el));
   }
+}
+
+void SyncRunner::RouteRecord(int stage, int instance, StreamElement&& el) {
   BufferRecord(downstream_[stage], instances_[stage][instance].out,
                batch_size_, std::move(el), [&](size_t e, int target) {
                  FlushBuffer(stage, instance, e, target);
@@ -520,7 +587,7 @@ void SyncRunner::RouteRecord(int stage, int instance, StreamElement&& el) {
 void SyncRunner::RouteControl(int stage, int instance,
                               const StreamElement& el) {
   if (spec_.stages()[stage].is_sink && sink_) {
-    sink_(stage, instance, el);
+    SinkControl(sink_, stage, instance, el);
   }
   // Control elements are batch boundaries: records emitted before them
   // reach every target first. A chained edge's one target is the replica.
@@ -707,10 +774,17 @@ Status ThreadedRunner::Start() {
       task->out = MakeOutputBuffers(spec_, downstream_[s]);
       const int stage_index = static_cast<int>(s);
       const int instance_index = i;
-      task->runtime->emit_record = [this, stage_index,
-                                    instance_index](StreamElement&& el) {
-        RouteRecord(stage_index, instance_index, std::move(el));
-      };
+      if (stage.is_sink && sink_) {
+        task->runtime->emit_run = [this, stage_index,
+                                   instance_index](RecordBatch& run) {
+          RouteRun(stage_index, instance_index, run);
+        };
+      } else {
+        task->runtime->emit_record = [this, stage_index,
+                                      instance_index](StreamElement&& el) {
+          RouteRecord(stage_index, instance_index, std::move(el));
+        };
+      }
       task->runtime->forward_control =
           [this, stage_index, instance_index](const StreamElement& el) {
             RouteControl(stage_index, instance_index, el);
@@ -903,11 +977,18 @@ void ThreadedRunner::FlushTaskOutputs(Task* task, int stage) {
   }
 }
 
+void ThreadedRunner::RouteRun(int stage, int instance, RecordBatch& run) {
+  sink_(stage, instance, SinkOutput{run});
+  if (downstream_[stage].empty()) return;
+  for (Record& r : run) {
+    StreamElement el;
+    el.record = std::move(r);
+    RouteRecord(stage, instance, std::move(el));
+  }
+}
+
 void ThreadedRunner::RouteRecord(int stage, int instance,
                                  StreamElement&& el) {
-  if (spec_.stages()[stage].is_sink && sink_) {
-    sink_(stage, instance, el);
-  }
   Task* task = tasks_[stage][instance].get();
   BufferRecord(downstream_[stage], task->out, batch_size_,
                std::move(el), [&](size_t e, int target) {
@@ -918,7 +999,7 @@ void ThreadedRunner::RouteRecord(int stage, int instance,
 void ThreadedRunner::RouteControl(int stage, int instance,
                                   const StreamElement& el) {
   if (spec_.stages()[stage].is_sink && sink_) {
-    sink_(stage, instance, el);
+    SinkControl(sink_, stage, instance, el);
   }
   Task* task = tasks_[stage][instance].get();
   // Control elements are batch boundaries: flush buffered records first so

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,14 +19,24 @@
 
 namespace astream::spe {
 
-/// Receives everything emitted by sink stages: records, plus forwarded
+/// One hand-off from a sink stage to the SinkFn: either a run, holding
+/// every record one operator call of the instance emitted, in emission
+/// order (`records` non-empty, `control` null), or one watermark, marker
+/// or done the instance forwarded (`control`; `records` empty). A run
+/// reaches the sink before any control element that follows it.
+struct SinkOutput {
+  std::span<const Record> records;
+  const StreamElement* control = nullptr;
+};
+
+/// Receives everything sink stages emit: runs of records, plus forwarded
 /// watermarks / markers / done signals (so exactly-once sinks can see
 /// checkpoint epochs inline with the data). Invoked from task threads in
 /// threaded mode — implementations must be thread-safe. A chained stage's
 /// replicas call it on the task thread of the instance that feeds them,
 /// with the replica index as `instance`.
 using SinkFn =
-    std::function<void(int stage, int instance, const StreamElement&)>;
+    std::function<void(int stage, int instance, const SinkOutput& output)>;
 
 /// Receives operator snapshots taken at aligned checkpoint barriers.
 using SnapshotFn = std::function<void(int64_t checkpoint_id, int stage,
@@ -48,8 +59,12 @@ class InstanceRuntime {
   void AddExpectedSender(int port, int sender_gid);
 
   /// Routing callbacks, set by the runner before the first DeliverBatch.
-  /// Sends a record produced by the operator downstream.
+  /// Sends a record produced by the operator downstream as it is emitted.
   std::function<void(StreamElement&&)> emit_record;
+  /// Set instead of emit_record on a sink stage: receives every record one
+  /// operator call emitted as one run, when the call returns and before
+  /// any control element the instance forwards. May move records out.
+  std::function<void(RecordBatch&)> emit_run;
   /// Broadcasts a control element (watermark / marker / done) downstream.
   std::function<void(const StreamElement&)> forward_control;
   /// Stores a checkpoint snapshot (may be null).
@@ -96,6 +111,9 @@ class InstanceRuntime {
   void RecomputeWatermark();
   void CheckAllDone();
   void DrainPending();
+  /// Closes one operator call: publishes its emitted-record count and
+  /// hands a sink stage's run on.
+  void EndCall();
 
   const int stage_;
   const int instance_;
@@ -119,6 +137,10 @@ class InstanceRuntime {
   std::unique_ptr<Collector> collector_;
   // Scratch run of records handed to ProcessBatch; reused across batches.
   RecordBatch scratch_records_;
+  // Records the current operator call emitted: all of them (sink stage,
+  // out_run_) or just their number (call_out_, published by EndCall).
+  RecordBatch out_run_;
+  int64_t call_out_ = 0;
   std::atomic<int64_t> records_in_{0};
   std::atomic<int64_t> records_out_{0};
 };
@@ -245,6 +267,8 @@ class SyncRunner : public Runner {
   /// (stage, instance): its replica for a chained edge, else DeliverTo.
   void DeliverOnEdge(int stage, int instance, size_t edge_idx, int target,
                      BatchEnvelope&& batch);
+  /// A sink stage's run: to the sink, then along any downstream edges.
+  void RouteRun(int stage, int instance, RecordBatch& run);
   void RouteRecord(int stage, int instance, StreamElement&& el);
   void RouteControl(int stage, int instance, const StreamElement& el);
   void FlushBuffer(int stage, int instance, size_t edge_idx, int target);
@@ -380,6 +404,8 @@ class ThreadedRunner : public Runner {
   /// Records the first failure, then closes every inbox (quiesce): tasks
   /// drain and exit, blocked producers unblock with push failures.
   void Poison(const Status& status);
+  /// A sink stage's run: to the sink, then along any downstream edges.
+  void RouteRun(int stage, int instance, RecordBatch& run);
   void RouteRecord(int stage, int instance, StreamElement&& el);
   void RouteControl(int stage, int instance, const StreamElement& el);
   void FlushBuffer(Task* task, int stage, size_t edge_idx, int target);

@@ -22,11 +22,13 @@ using Kind = AStreamJob::TopologyKind;
 
 std::unique_ptr<AStreamJob> MakeJob(Kind kind, bool threaded,
                                     ManualClock* clock,
-                                    bool enable_metrics = true) {
+                                    bool enable_metrics = true,
+                                    size_t batch_size = 1) {
   AStreamJob::Options options;
   options.topology = kind;
   options.parallelism = 2;
   options.threaded = threaded;
+  options.batch_size = batch_size;
   options.clock = clock;
   options.session.batch_size = 1000;
   options.session.max_timeout_ms = 1 << 30;
@@ -57,6 +59,8 @@ std::map<QueryId, int64_t> RunAggregationWorkload(AStreamJob* job,
                                    .TumblingWindow(60)
                                    .Agg(spe::AggKind::kCount, 1)
                                    .Build()));
+  ids->push_back(*job->Submit(
+      *QueryBuilder::Selection().WhereA(1, CmpOp::kLt, 30).Build()));
   job->Pump(true);
   EXPECT_TRUE(job->WaitForDeployment());
 
@@ -73,9 +77,10 @@ std::map<QueryId, int64_t> RunAggregationWorkload(AStreamJob* job,
   return sink_counts;
 }
 
-void CheckMetricsMatchRouter(bool threaded) {
+void CheckMetricsMatchRouter(bool threaded, size_t batch_size = 1) {
   ManualClock clock;
-  auto job = MakeJob(Kind::kAggregation, threaded, &clock);
+  auto job = MakeJob(Kind::kAggregation, threaded, &clock,
+                     /*enable_metrics=*/true, batch_size);
   ASSERT_TRUE(job->Start().ok());
   std::vector<QueryId> ids;
   const auto sink_counts = RunAggregationWorkload(job.get(), &clock, &ids);
@@ -111,6 +116,17 @@ TEST(MetricsE2E, SyncPerQueryCountsMatchRouterOutputs) {
 
 TEST(MetricsE2E, ThreadedPerQueryCountsMatchRouterOutputs) {
   CheckMetricsMatchRouter(/*threaded=*/true);
+}
+
+// Batched edges: the router records each run of equal (query, event time)
+// with one counted histogram record; the counts must still equal the rows
+// delivered.
+TEST(MetricsE2E, SyncBatchedPerQueryCountsMatchDeliveredRows) {
+  CheckMetricsMatchRouter(/*threaded=*/false, /*batch_size=*/64);
+}
+
+TEST(MetricsE2E, ThreadedBatchedPerQueryCountsMatchDeliveredRows) {
+  CheckMetricsMatchRouter(/*threaded=*/true, /*batch_size=*/64);
 }
 
 TEST(MetricsE2E, JoinSliceReuseIsAttributed) {

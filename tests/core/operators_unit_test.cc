@@ -20,6 +20,10 @@ class RecordingCollector : public spe::Collector {
   void Emit(spe::StreamElement el) override {
     records.push_back(std::move(el.record));
   }
+  void EmitRun(spe::RecordBatch& run) override {
+    records.insert(records.end(), std::make_move_iterator(run.begin()),
+                   std::make_move_iterator(run.end()));
+  }
   std::vector<spe::Record> records;
 };
 

@@ -21,6 +21,9 @@ using spe::Value;
 class DiscardCollector : public spe::Collector {
  public:
   void Emit(spe::StreamElement) override { ++emitted; }
+  void EmitRun(spe::RecordBatch& run) override {
+    emitted += static_cast<int64_t>(run.size());
+  }
   int64_t emitted = 0;
 };
 

@@ -64,6 +64,31 @@ TEST(Histogram, CountSumMinMax) {
   EXPECT_DOUBLE_EQ(s.mean(), 106.0 / 3.0);
 }
 
+TEST(Histogram, CountedRecordEqualsRepeatedRecords) {
+  Histogram counted;
+  Histogram repeated;
+  const std::pair<int64_t, int64_t> observations[] = {
+      {7, 5}, {0, 3}, {1000, 1}, {3, 64}, {-2, 2}};
+  for (const auto& [value, count] : observations) {
+    counted.Record(value, count);
+    for (int64_t i = 0; i < count; ++i) repeated.Record(value);
+  }
+  const auto c = counted.TakeSnapshot();
+  const auto r = repeated.TakeSnapshot();
+  EXPECT_EQ(c.count, 75);
+  EXPECT_EQ(c.sum, 7 * 5 + 1000 + 3 * 64 - 4);
+  EXPECT_EQ(c.min, -2);
+  EXPECT_EQ(c.max, 1000);
+  EXPECT_EQ(c.buckets[Histogram::BucketIndex(3)], 64);
+  EXPECT_EQ(c.buckets[0], 5);  // 0 and -2 clamp into bucket 0
+  EXPECT_EQ(c.count, r.count);
+  EXPECT_EQ(c.sum, r.sum);
+  EXPECT_EQ(c.min, r.min);
+  EXPECT_EQ(c.max, r.max);
+  EXPECT_EQ(c.buckets, r.buckets);
+  EXPECT_DOUBLE_EQ(c.Percentile(50), r.Percentile(50));
+}
+
 TEST(Histogram, EmptySnapshotIsZero) {
   Histogram h;
   const auto s = h.TakeSnapshot();

@@ -220,6 +220,94 @@ TEST(ShardRouterTest, QosCountsEachDeliveredRowOnceAcrossSplit) {
   EXPECT_GT(join_pre_filter, delivered[*join]);
 }
 
+// With batched edges each router call hands egress one run per join
+// trigger, and after a split both halves re-emit every open window: each
+// shard's runs mix keys it owns with keys the other half owns. The slot
+// filter must pass each row exactly once across shards, and the merged
+// QoS must count exactly the rows the callback received — with inline
+// shards and with pump threads delivering concurrently.
+class ShardEgressTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ShardEgressTest, MixedOwnershipRunsDeliverEachRowOnceAfterSplit) {
+  using Rows = std::map<QueryId, std::multiset<std::vector<spe::Value>>>;
+  const bool shard_threads = GetParam();
+  auto run = [shard_threads](int shards, bool split,
+                             core::QosMonitor::Snapshot* qos,
+                             std::map<TimestampMs, std::set<int>>* owners) {
+    ManualClock clock;
+    JobConfig config = InlineConfig(&clock, shards, /*slots=*/8);
+    config.job.batch_size = 64;
+    config.shard_threads = shard_threads;
+    auto router = MakeStarted(std::move(config));
+    std::mutex mu;
+    Rows delivered;
+    std::vector<std::pair<TimestampMs, spe::Value>> keys;
+    router->SetResultCallback([&](QueryId id, const spe::Record& r) {
+      std::vector<spe::Value> row{r.event_time};
+      for (size_t c = 0; c < r.row.NumColumns(); ++c) {
+        row.push_back(r.row.At(c));
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      delivered[id].insert(std::move(row));
+      keys.emplace_back(r.event_time, r.row.key());
+    });
+    EXPECT_TRUE(router->Submit(SlidingJoin()).ok());
+    EXPECT_TRUE(router->Submit(PassAllSelection()).ok());
+    router->Pump(true);
+    auto push_round = [&](TimestampMs t0) {
+      for (spe::Value key = 0; key < 24; ++key) {
+        clock.SetMs(t0 + key / 2);
+        router->Push(StreamId::kA, t0 + key / 2, Row{key, key});
+        router->Push(StreamId::kB, t0 + key / 2, Row{key, key + 100});
+      }
+    };
+    push_round(10);
+    if (split) {
+      EXPECT_TRUE(router->SplitShard(0).ok());  // windows still open
+    }
+    push_round(30);
+    push_round(50);
+    clock.SetMs(200);
+    router->PushWatermark(200);
+    EXPECT_TRUE(router->FinishAndWait().ok());
+    if (qos != nullptr) *qos = router->QosSnapshot();
+    std::lock_guard<std::mutex> lock(mu);
+    if (owners != nullptr) {
+      for (const auto& [t, key] : keys) {
+        (*owners)[t].insert(router->plan()->OwnerOfKey(key));
+      }
+    }
+    return delivered;
+  };
+
+  const Rows expected = run(1, false, nullptr, nullptr);
+  core::QosMonitor::Snapshot qos;
+  std::map<TimestampMs, std::set<int>> owners;
+  const Rows delivered = run(2, true, &qos, &owners);
+  EXPECT_EQ(delivered, expected);
+
+  // Some window's result rows belong to both halves of the split shard:
+  // each half emitted them in one run and kept only its own.
+  bool mixed = false;
+  for (const auto& [t, shards] : owners) mixed |= shards.size() > 1;
+  EXPECT_TRUE(mixed);
+
+  std::map<QueryId, int64_t> per_query;
+  int64_t total = 0;
+  for (const auto& [id, rows] : delivered) {
+    per_query[id] = static_cast<int64_t>(rows.size());
+    total += per_query[id];
+  }
+  EXPECT_EQ(qos.total_outputs, total);
+  EXPECT_EQ(qos.outputs_per_query, per_query);
+  EXPECT_EQ(qos.event_time_latency.count(), total);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardThreads, ShardEgressTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Pumped" : "Inline";
+                         });
+
 // A callback swapped on a running deployment with threaded shards reaches
 // every row pushed after the swap; rows pushed before it arrive exactly
 // once, at one of the two callbacks.

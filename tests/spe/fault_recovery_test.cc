@@ -114,7 +114,7 @@ TEST(RunnerPoisonTest, InjectedThrowPoisonsInsteadOfHanging) {
   injector.AddRule(crash);
   fault::ScopedFaultInjection scoped(&injector);
 
-  ThreadedRunner runner(PassThroughSpec(), [](int, int, const StreamElement&) {},
+  ThreadedRunner runner(PassThroughSpec(), [](int, int, const SinkOutput&) {},
                         nullptr, 16);
   ASSERT_TRUE(runner.Start().ok());
   // Push until the poison propagates back as a refused push.
@@ -136,7 +136,7 @@ TEST(RunnerPoisonTest, InjectedThrowPoisonsInsteadOfHanging) {
 }
 
 TEST(RunnerPoisonTest, DeclareFailedMatchesTaskFailurePath) {
-  ThreadedRunner runner(PassThroughSpec(), [](int, int, const StreamElement&) {},
+  ThreadedRunner runner(PassThroughSpec(), [](int, int, const SinkOutput&) {},
                         nullptr, 16);
   ASSERT_TRUE(runner.Start().ok());
   EXPECT_FALSE(runner.Failed());

@@ -25,8 +25,9 @@ class SingleOpHarness {
     }
     runner_ = std::make_unique<SyncRunner>(
         std::move(spec),
-        [this](int, int, const StreamElement& el) {
-          if (el.kind == ElementKind::kRecord) records_.push_back(el.record);
+        [this](int, int, const SinkOutput& output) {
+          records_.insert(records_.end(), output.records.begin(),
+                          output.records.end());
         });
     EXPECT_TRUE(runner_->Start().ok());
   }
@@ -184,6 +185,7 @@ TEST(OperatorSnapshotTest, AggregateRoundTrip) {
   class NullCollector : public Collector {
    public:
     void Emit(StreamElement) override {}
+    void EmitRun(RecordBatch&) override {}
   } null_out;
   Record r;
   r.event_time = 7;
@@ -202,6 +204,9 @@ TEST(OperatorSnapshotTest, AggregateRoundTrip) {
   class RecordingCollector : public Collector {
    public:
     void Emit(StreamElement el) override { records.push_back(el.record); }
+    void EmitRun(RecordBatch& run) override {
+      records.insert(records.end(), run.begin(), run.end());
+    }
     std::vector<Record> records;
   } out;
   restored.OnWatermark(kMaxTimestamp, &out);

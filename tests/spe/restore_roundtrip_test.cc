@@ -22,6 +22,10 @@ class VectorCollector : public Collector {
       records.push_back(std::move(element.record));
     }
   }
+  void EmitRun(RecordBatch& run) override {
+    records.insert(records.end(), std::make_move_iterator(run.begin()),
+                   std::make_move_iterator(run.end()));
+  }
   std::vector<Record> records;
 };
 

@@ -26,13 +26,17 @@ struct SinkCollector {
   int done_count = 0;
 
   SinkFn AsFn() {
-    return [this](int stage, int instance, const StreamElement& el) {
+    return [this](int stage, int instance, const SinkOutput& output) {
       (void)stage;
       (void)instance;
       std::lock_guard<std::mutex> lock(mutex);
+      records.insert(records.end(), output.records.begin(),
+                     output.records.end());
+      if (output.control == nullptr) return;
+      const StreamElement& el = *output.control;
       switch (el.kind) {
         case ElementKind::kRecord:
-          records.push_back(el.record);
+          ADD_FAILURE() << "a record handed to the sink as control";
           break;
         case ElementKind::kWatermark:
           watermarks.push_back(el.watermark);
@@ -462,26 +466,28 @@ struct ReplicaLog {
 
   SinkFn AsFn(int chained_stage) {
     return [this, chained_stage](int stage, int instance,
-                                 const StreamElement& el) {
+                                 const SinkOutput& output) {
       EXPECT_EQ(stage, chained_stage);
       std::lock_guard<std::mutex> lock(mutex);
       threads[instance].insert(std::this_thread::get_id());
+      for (const Record& r : output.records) {
+        if (r.row.At(0) < 0) {
+          summary[instance] = {r.row.At(1), r.row.At(2)};
+        } else {
+          records[instance].emplace_back(r.row.At(0), r.row.At(1),
+                                         r.row.At(2));
+        }
+      }
+      if (output.control == nullptr) return;
+      const StreamElement& el = *output.control;
       switch (el.kind) {
-        case ElementKind::kRecord:
-          if (el.record.row.At(0) < 0) {
-            summary[instance] = {el.record.row.At(1), el.record.row.At(2)};
-          } else {
-            records[instance].emplace_back(el.record.row.At(0),
-                                           el.record.row.At(1),
-                                           el.record.row.At(2));
-          }
-          break;
         case ElementKind::kMarker:
           markers[instance].push_back(el.marker);
           break;
         case ElementKind::kDone:
           ++done[instance];
           break;
+        case ElementKind::kRecord:
         case ElementKind::kWatermark:
           break;
       }
@@ -647,6 +653,189 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
       return std::string(std::get<0>(info.param) ? "Threaded" : "Sync") +
              "Par" + std::to_string(std::get<1>(info.param));
+    });
+
+/// Stamps every record it emits with the number of its operator call and
+/// the number of control elements the instance forwarded before that call:
+/// two copies per input record, and one record per watermark, marker and
+/// Close. A sink can then tell whether a run holds exactly one call's
+/// records and whether it arrived before the control elements after it.
+class RunProbe : public Operator {
+ public:
+  static constexpr Value kControlKey = -1;
+
+  void ProcessRecord(int port, Record record, Collector* out) override {
+    (void)port;
+    (void)record;
+    (void)out;
+    ADD_FAILURE() << "the runtime hands records over in batches";
+  }
+  void ProcessBatch(int port, RecordBatch& records, Collector* out) override {
+    (void)port;
+    ++calls_;
+    for (const Record& r : records) {
+      for (Value copy = 0; copy < 2; ++copy) {
+        Stamp(out, r.row.At(0), r.row.At(1), copy);
+      }
+    }
+  }
+  void OnWatermark(TimestampMs watermark, Collector* out) override {
+    (void)watermark;
+    ControlCall(out);
+  }
+  void OnMarker(const ControlMarker& marker, Collector* out) override {
+    (void)marker;
+    ControlCall(out);
+  }
+  void Close(Collector* out) override { ControlCall(out); }
+
+ private:
+  // The runtime forwards the control element once the call returns.
+  void ControlCall(Collector* out) {
+    ++calls_;
+    Stamp(out, kControlKey, -1, 0);
+    ++controls_;
+  }
+  void Stamp(Collector* out, Value key, Value seq, Value copy) {
+    out->Emit(StreamElement::MakeRecord(
+        0, Row{key, seq, copy, calls_, controls_}));
+  }
+
+  int64_t calls_ = 0;
+  int64_t controls_ = 0;
+};
+
+/// Checks every sink call against the RunProbe stamps, per sink instance.
+struct RunLog {
+  struct Instance {
+    int64_t controls = 0;   // control elements seen so far
+    int64_t last_call = 0;  // call number of the last run
+    int64_t runs = 0;
+    std::map<int, std::pair<Value, Value>> last_of_producer;  // (seq, copy)
+  };
+  std::mutex mutex;
+  std::map<int, Instance> instances;
+  std::map<Value, int> deliveries;  // seq -> copies delivered
+  int par = 1;
+
+  SinkFn AsFn(int probe_stage) {
+    return [this, probe_stage](int stage, int instance,
+                               const SinkOutput& output) {
+      EXPECT_EQ(stage, probe_stage);
+      std::lock_guard<std::mutex> lock(mutex);
+      Instance& log = instances[instance];
+      if (output.control != nullptr) {
+        EXPECT_TRUE(output.records.empty());
+        EXPECT_NE(output.control->kind, ElementKind::kRecord);
+        ++log.controls;
+        return;
+      }
+      ASSERT_FALSE(output.records.empty());
+      ++log.runs;
+      const Value call = output.records.front().row.At(3);
+      // One run per operator call: a later run never repeats a call.
+      EXPECT_GT(call, log.last_call) << "instance " << instance;
+      log.last_call = call;
+      for (const Record& r : output.records) {
+        EXPECT_EQ(r.row.At(3), call) << "a run spans two operator calls";
+        EXPECT_EQ(r.row.At(4), log.controls)
+            << "instance " << instance << ": a record of call " << call
+            << " arrived after a control element that follows it";
+        const Value key = r.row.At(0);
+        if (key == RunProbe::kControlKey) continue;
+        const int producer = internal::InstanceForKey(key, par);
+        const std::pair<Value, Value> at{r.row.At(1), r.row.At(2)};
+        auto [it, first] = log.last_of_producer.try_emplace(producer, at);
+        if (!first) {
+          EXPECT_LT(it->second, at) << "producer " << producer << " reordered";
+          it->second = at;
+        }
+        ++deliveries[r.row.At(1)];
+      }
+    };
+  }
+};
+
+/// A pass-through stage of `par` instances feeding a RunProbe sink stage,
+/// ordinary (par instances, hash edge) or chained (one replica each).
+/// Returns the sink stage's index (1).
+TopologySpec RunProbeSpec(int par, bool chained) {
+  TopologySpec spec;
+  StageSpec up;
+  up.name = "up";
+  up.parallelism = par;
+  up.factory = [](int) { return std::make_unique<PassThroughOperator>(); };
+  const int s = spec.AddStage(std::move(up));
+  spec.AddExternalInput({"in", s, 0, Partitioning::kHash});
+  StageSpec probe;
+  probe.name = "probe";
+  probe.parallelism = par;
+  probe.is_sink = true;
+  probe.chained = chained;
+  probe.factory = [](int) { return std::make_unique<RunProbe>(); };
+  probe.inputs = {{s, 0, Partitioning::kHash}};
+  spec.AddStage(std::move(probe));
+  return spec;
+}
+
+/// (threaded, parallelism, chained)
+class SinkRunTest
+    : public ::testing::TestWithParam<std::tuple<bool, int, bool>> {};
+
+// A sink stage hands the sink all records of one operator call in one
+// call, before any watermark, marker or done that follows them; every
+// record arrives exactly once and in its producer's order.
+TEST_P(SinkRunTest, OneRunPerCallBeforeTheControlThatFollows) {
+  const auto [threaded, par, chained] = GetParam();
+  constexpr int kRows = 400;
+  RunLog log;
+  log.par = par;
+  auto runner = MakeRunner(threaded, RunProbeSpec(par, chained),
+                           log.AsFn(/*probe_stage=*/1), nullptr);
+  ASSERT_TRUE(runner->Start().ok());
+  ControlMarker changelog;
+  changelog.kind = MarkerKind::kChangelog;
+  changelog.epoch = 1;
+  changelog.time = kRows / 2;
+  ControlMarker barrier;
+  barrier.kind = MarkerKind::kCheckpointBarrier;
+  barrier.epoch = 1;
+  barrier.time = 3 * kRows / 4;
+  ElementBatch batch;
+  for (int i = 0; i < kRows; ++i) {
+    batch.Add(StreamElement::MakeRecord(i, Row{i % 13, i}));
+    if (i % 10 == 9) {
+      batch.Add(StreamElement::MakeWatermark(i));
+      runner->Push(0, std::move(batch));
+      batch = ElementBatch();
+    }
+    if (i == changelog.time) runner->InjectMarker(changelog);
+    if (i == barrier.time) runner->InjectMarker(barrier);
+  }
+  runner->Push(0, std::move(batch));
+  runner->FinishAndWait();
+  ASSERT_TRUE(runner->Failure().ok());
+
+  EXPECT_EQ(log.instances.size(), static_cast<size_t>(par));
+  for (const auto& [instance, state] : log.instances) {
+    // 40 watermarks, the final one, two markers and done.
+    EXPECT_EQ(state.controls, 44) << "instance " << instance;
+    EXPECT_GT(state.runs, state.controls) << "instance " << instance;
+  }
+  ASSERT_EQ(log.deliveries.size(), static_cast<size_t>(kRows));
+  for (const auto& [seq, copies] : log.deliveries) {
+    EXPECT_EQ(copies, 2) << "record " << seq;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runners, SinkRunTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Threaded" : "Sync") +
+             "Par" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "Chained" : "Ordinary");
     });
 
 TEST(ChainedStageValidateTest, RejectsMisuse) {
